@@ -13,11 +13,13 @@ failure.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import fields as dc_fields
 
 from . import pipeline, plots, synthgen
+from .clustering import METHODS
 from .data import filter_by_total, parse_corpus, write_corpus
 from .errors import CitetrajError, ConfigError, DataError, NumericalError, StageError
 from .pipeline import ModelFile, PipelineConfig, load_model, run_pipeline, save_model
@@ -27,13 +29,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in dc_fields(PipelineConfig)}
+_CONFIG_FIELDS = {f.name for f in dc_fields(PipelineConfig)}
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_scalar(name: str, raw: str):
+def _parse_scalar(raw: str):
     raw = raw.strip().strip('"').strip("'")
     low = raw.lower()
     if low in _BOOL_TRUE:
@@ -67,8 +69,8 @@ def read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, raw = body.split("=", 1)
             key = key.strip().replace("-", "_")
-            out[key] = _parse_scalar(key, raw)
-    unknown = sorted(set(out) - set(_CONFIG_FIELD_TYPES))
+            out[key] = _parse_scalar(raw)
+    unknown = sorted(set(out) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
     return out
@@ -98,7 +100,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fve", type=float, default=None,
                    help="keep smallest K reaching this variance share instead of --k-basis")
     p.add_argument("--k-clusters", type=int, default=None, help="clusters (default 4)")
-    p.add_argument("--method", default=None, choices=["kmeans", "kmedoids", "ward"])
+    p.add_argument("--method", default=None, choices=METHODS)
     p.add_argument("--min-total", type=int, default=None, help="citation floor (default 0)")
     p.add_argument("--m-wsb", type=float, default=None, help="WSB m constant (default 30)")
     p.add_argument("--standardize", action="store_true", default=None,
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("sensitivity", "robustness sweeps over K, methods, and count floors")
     p.add_argument("--thresholds", default="0,10", help="comma-separated count floors")
     p.add_argument("--k-range", default="2:6", help="K values, e.g. 2:6 or 2,4,6")
-    p.add_argument("--methods", default="kmeans,kmedoids,ward")
+    p.add_argument("--methods", default=",".join(METHODS))
 
     p = cmd("plot", "emit figure CSVs and SVGs from model.json")
     p.add_argument("--figures", default="all",
@@ -297,10 +299,11 @@ def _cmd_label(args, config: PipelineConfig) -> int:
     print("item taxonomy:", dict(Counter(item_labels)))
     path = os.path.join(config.output_dir, "assignments.csv")
     ids = model.data["corpus"]["ids"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,cluster,label\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "cluster", "label"])
         for i, a in zip(ids, entry["assignments"]):
-            fh.write(f"{i},{a},{labels[a] if labels else ''}\n")
+            writer.writerow([i, a, labels[a] if labels else ""])
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -2,11 +2,11 @@
 
 Three clustering families cover the robustness comparison: k-means
 (k-means++ seeding, Lloyd iterations, best of restarts), PAM k-medoids
-(build + swap, squared Euclidean cost), and Ward agglomeration via the
-Lance-Williams recurrence.  Cluster centroids are mapped back to intensity
-curves through the latent basis and labeled by shape: evergreen (no yearly
-decline beyond tolerance), delayed (late peak), or normal split into high
-and low levels.
+(build + swap, squared Euclidean cost), and Ward agglomeration on scipy's
+``linkage``; ``cluster`` runs any of ``METHODS`` by name.  Cluster centroids
+are mapped back to intensity curves through the latent basis and labeled by
+shape: evergreen (no yearly decline beyond tolerance), delayed (late peak),
+or normal split into high and low levels.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage, maxRstat
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import LatentBasis
@@ -22,8 +24,10 @@ from .poisson import TrajectoryFit
 
 __all__ = [
     "ClusterModel",
+    "METHODS",
     "ShapeThresholds",
     "SweepReport",
+    "cluster",
     "kmeans",
     "kmedoids",
     "ward",
@@ -38,6 +42,7 @@ __all__ = [
 
 CLUSTER_LABELS = ("evergreen", "delayed", "normal-low", "normal-high")
 ITEM_LABELS = ("evergreen", "flash-in-the-pan", "delayed document", "normal document")
+METHODS = ("kmeans", "kmedoids", "ward")
 
 _MAX_LLOYD_ITER = 300
 
@@ -67,7 +72,7 @@ class ClusterModel:
     their cluster's ``centroids`` row (for k-medoids the medoid points).
     ``details`` carries method diagnostics: per-iteration within_ss history
     for the winning k-means restart, medoid indices, or the Ward merge
-    trace.
+    trace read from scipy's linkage matrix.
     """
 
     method: str
@@ -99,8 +104,7 @@ def _check_points(points, k: int) -> np.ndarray:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    return cdist(points, centers, "sqeuclidean")
 
 
 def _within_ss(points, centers, assign) -> float:
@@ -244,54 +248,48 @@ def kmedoids(points, k: int, seed: int = 0) -> ClusterModel:
 def ward(points, k: int) -> ClusterModel:
     """Agglomerative clustering with Ward linkage, cut at K clusters.
 
-    Squared cluster distances follow the Lance-Williams recurrence
-    d2(s+t, v) = [(n_s+n_v) d2(s,v) + (n_t+n_v) d2(t,v) - n_v d2(s,t)] / N
-    with N = n_s + n_t + n_v, starting from pairwise squared Euclidean
-    distances.  Ties pick the lexicographically smallest active pair.
+    The hierarchy is scipy's ``linkage(points, "ward")``: Lance-Williams
+    merges from pairwise squared Euclidean distances.  The K clusters are
+    those left after its first n - K merges, numbered by smallest member.
+    ``details["merges"]`` lists those merges as (i, j, d2): i < j are the
+    smallest members of the merged clusters, d2 the squared merge height.
     """
     points = _check_points(points, k)
     n = len(points)
-    d2 = _sq_dists(points, points).astype(float)
-    sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    members: list[list[int]] = [[i] for i in range(n)]
-    merges: list[tuple[int, int, float]] = []
-    big = np.inf
-    work = d2.copy()
-    work[np.tril_indices(n)] = big
-    for _ in range(n - k):
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, n)
-        dist = float(work[i, j])
-        merges.append((i, j, dist))
-        ni, nj = sizes[i], sizes[j]
-        for v in np.nonzero(active)[0]:
-            if v == i or v == j:
-                continue
-            nv = sizes[v]
-            new = ((ni + nv) * d2[i, v] + (nj + nv) * d2[j, v] - nv * dist) / (
-                ni + nj + nv
-            )
-            d2[i, v] = d2[v, i] = new
-            lo, hi = (i, v) if i < v else (v, i)
-            work[lo, hi] = new
-        sizes[i] = ni + nj
-        members[i].extend(members[j])
-        active[j] = False
-        work[j, :] = big
-        work[:, j] = big
-        d2[j, :] = big
-        d2[:, j] = big
-    clusters = sorted(np.nonzero(active)[0], key=lambda c: min(members[c]))
-    assign = np.empty(n, dtype=int)
-    for new_idx, c in enumerate(clusters):
-        assign[members[c]] = new_idx
+    assign = np.zeros(n, dtype=int)
+    merges = np.zeros((0, 3))
+    if n > 1:
+        z = linkage(points, "ward")
+        # Row r's monocrit is r, so the flat clusters are the subtrees
+        # formed by rows 0 .. n-k-1.
+        flat = fcluster(z, n - k - 1, criterion="monocrit", monocrit=np.arange(n - 1.0))
+        _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
+        assign = np.argsort(np.argsort(first))[inv]
+        # A cluster's smallest member is the smallest leaf child of any row
+        # in its subtree; maxRstat takes that over each subtree as n - leaf
+        # (rows without a leaf child score 0).
+        stat = np.zeros((n - 1, 4))
+        stat[:, 0] = np.maximum(n - z[:, :2].min(axis=1), 0.0)
+        smallest = np.concatenate([np.arange(n), n - maxRstat(z, stat, 0)])
+        pairs = np.sort(smallest[z[: n - k, :2].astype(int)], axis=1)
+        merges = np.column_stack([pairs, z[: n - k, 2] ** 2])
     centroids = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
     return ClusterModel(
         method="ward", k=k, centroids=centroids, assignments=assign,
         within_ss=_within_ss(points, centroids, assign), seed=0,
         details={"merges": [(int(a), int(b), float(c)) for a, b, c in merges]},
     )
+
+
+def cluster(method: str, points, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
+    """Run the clustering method named ``method`` (one of ``METHODS``)."""
+    if method == "kmeans":
+        return kmeans(points, k, seed=seed, restarts=restarts)
+    if method == "kmedoids":
+        return kmedoids(points, k, seed=seed)
+    if method == "ward":
+        return ward(points, k)
+    raise ConfigError(f"unknown clustering methods: {[method]}")
 
 
 def _centroid_intensity(centroid: np.ndarray, basis: LatentBasis) -> np.ndarray:
@@ -397,22 +395,20 @@ def silhouette_mean(points, assignments) -> float:
     Singleton clusters contribute 0 for their point; K=1 is undefined and
     raises.
     """
-    points = np.asarray(points, dtype=float)
-    assign = np.asarray(assignments)
-    labels = np.unique(assign)
+    labels, own = np.unique(assignments, return_inverse=True)
     if len(labels) < 2:
         raise ConfigError("silhouette needs at least 2 clusters")
-    dists = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
     n = len(points)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = assign[i]
-        same = (assign == own) & (np.arange(n) != i)
-        if not same.any():
-            continue  # singleton: silhouette 0
-        a = dists[i, same].mean()
-        b = min(dists[i, assign == other].mean() for other in labels if other != own)
-        scores[i] = (b - a) / max(a, b)
+    rows = np.arange(n)
+    # Summed distance from each point to every cluster, in one matmul.
+    sums = cdist(points, points) @ np.eye(len(labels))[own]
+    sizes = np.bincount(own)
+    a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    # A singleton's silhouette is 0.
+    scores = np.divide(b - a, np.maximum(a, b), out=np.zeros(n), where=sizes[own] > 1)
     return float(scores.mean())
 
 
@@ -444,20 +440,14 @@ def robustness_sweep(
     """
     points = np.asarray(points, dtype=float)
     k_values = sorted(set(int(k) for k in k_values))
-    known = {"kmeans", "kmedoids", "ward"}
-    bad = [m for m in methods if m not in known]
+    bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigError(f"unknown clustering methods: {bad}")
     models: dict[tuple[str, int], ClusterModel] = {}
     cells: dict[str, dict[str, dict]] = {m: {} for m in methods}
     for method in methods:
         for k in k_values:
-            if method == "kmeans":
-                model = kmeans(points, k, seed=seed, restarts=restarts)
-            elif method == "kmedoids":
-                model = kmedoids(points, k, seed=seed)
-            else:
-                model = ward(points, k)
+            model = cluster(method, points, k, seed=seed, restarts=restarts)
             if basis is not None:
                 model = model.with_labels(label_clusters(model, basis, thresholds))
             models[(method, k)] = model

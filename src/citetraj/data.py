@@ -8,6 +8,7 @@ elementary transforms the model pipeline builds on.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -159,20 +160,25 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
 
 
 def _parse_csv(lines: list[str], provenance: str) -> Corpus:
-    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                rows.append((line_no, next(csv.reader([line]))))
+            except csv.Error as exc:
+                raise DataError(f"line {line_no}: malformed CSV: {exc}") from exc
     if not rows:
         raise DataError("empty CSV corpus")
     header_no, header = rows[0]
-    cols = [c.strip() for c in header.split(",")]
+    cols = [c.strip() for c in header]
     if len(cols) < 3 or cols[0] != "id":
         raise DataError(
-            f"line {header_no}: expected header 'id,y1,...,yT', got {header!r}"
+            f"line {header_no}: expected header 'id,y1,...,yT', got {','.join(header)!r}"
         )
     t = len(cols) - 1
     items = []
-    for line_no, line in rows[1:]:
-        fields = line.split(",")
-        item_id = fields[0].strip()
+    for line_no, fields in rows[1:]:
+        item_id = fields[0]
         if len(fields) != t + 1:
             raise DataError(
                 f"line {line_no}: item {item_id!r} has {len(fields) - 1} counts, "
@@ -224,9 +230,9 @@ def write_corpus(corpus: Corpus, target, format: str = "csv") -> None:
     t = corpus.grid.n_years
     buf = io.StringIO()
     if format == "csv":
-        buf.write("id," + ",".join(f"y{j}" for j in range(1, t + 1)) + "\n")
-        for item in corpus.items:
-            buf.write(item.id + "," + ",".join(str(c) for c in item.counts) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id"] + [f"y{j}" for j in range(1, t + 1)])
+        writer.writerows([item.id, *item.counts] for item in corpus.items)
     elif format == "jsonl":
         for item in corpus.items:
             buf.write(json.dumps({"id": item.id, "counts": list(item.counts)}) + "\n")

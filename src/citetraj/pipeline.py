@@ -62,7 +62,7 @@ class PipelineConfig:
     evergreen_tol: float = 0.05
 
     def __post_init__(self):
-        if self.method not in ("kmeans", "kmedoids", "ward"):
+        if self.method not in clus.METHODS:
             raise ConfigError(f"unknown clustering method {self.method!r}")
         if self.k_basis < 0:
             raise ConfigError("k-basis must be >= 0")
@@ -147,15 +147,22 @@ def save_model(model: ModelFile, path) -> None:
     """Write the model as canonical JSON with an embedded checksum.
 
     Floats serialize via shortest round-trip repr, so save -> load -> save
-    is byte-identical (the stored timestamp is preserved as-is).
+    is byte-identical (the stored timestamp is preserved as-is).  The bytes
+    go to a temporary file beside ``path`` that then replaces it, so an
+    interrupted write leaves any previous file intact.
     """
     data = dict(model.data)
     data["schema_version"] = SCHEMA_VERSION
     data.setdefault("created_at", _now())
     data["checksum"] = _checksum(data)
-    with open(path, "wb") as fh:
-        fh.write(_canonical_bytes(data))
-        fh.write(b"\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_canonical_bytes(data) + b"\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_model(path) -> ModelFile:
@@ -220,14 +227,6 @@ def _cluster_points(scores: np.ndarray, basis: fpca.LatentBasis, standardize: bo
     if np.any(lam <= 0):
         raise NumericalError("cannot standardize: basis has zero eigenvalues")
     return scores / np.sqrt(lam)[None, :]
-
-
-def _run_cluster_method(method: str, points, k, seed, restarts):
-    if method == "kmeans":
-        return clus.kmeans(points, k, seed=seed, restarts=restarts)
-    if method == "kmedoids":
-        return clus.kmedoids(points, k, seed=seed)
-    return clus.ward(points, k)
 
 
 def _raw_centroids(scores: np.ndarray, assignments: np.ndarray, k: int,
@@ -354,7 +353,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
             )
         else:
             points = _cluster_points(scores, basis, config.standardize)
-            model = _run_cluster_method(
+            model = clus.cluster(
                 config.method, points, config.k_clusters, config.seed, config.restarts
             )
             fallback = model.centroids * (
@@ -434,7 +433,7 @@ def sensitivity(
     model: ModelFile,
     thresholds: Sequence[int] = (0, 10),
     k_values: Sequence[int] = (2, 3, 4, 5, 6),
-    methods: Sequence[str] = ("kmeans", "kmedoids", "ward"),
+    methods: Sequence[str] = clus.METHODS,
 ) -> ModelFile:
     """Robustness sweeps on an already-fit model; returns an updated copy.
 
@@ -470,7 +469,7 @@ def sensitivity(
             runs[int(tau)] = None
             continue
         sub = points[mask]
-        cm = _run_cluster_method(method, sub, k, seed, restarts)
+        cm = clus.cluster(method, sub, k, seed, restarts)
         fallback = cm.centroids * (
             np.sqrt(basis.eigenvalues)[None, :]
             if cfg.get("standardize", False)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from citetraj.clustering import (
     ShapeThresholds,
     adjusted_rand_index,
     classify_item,
+    cluster,
     kmeans,
     kmedoids,
     label_clusters,
@@ -175,6 +177,57 @@ class TestWard:
             assert (gi, gj) == (ei, ej)
             assert gd == pytest.approx(ed, rel=1e-10)
 
+    def test_single_point(self):
+        model = ward(np.array([[1.5, -2.0]]), 1)
+        assert model.assignments.tolist() == [0]
+        assert model.centroids.tolist() == [[1.5, -2.0]]
+        assert model.within_ss == 0.0
+        assert model.details["merges"] == []
+
+    def test_duplicated_rows_follow_merge_trace(self):
+        # Tie-heavy lattice: many zero-distance and equal-height merges.
+        rng = np.random.default_rng(3)
+        points = rng.integers(0, 3, size=(24, 2)).astype(float)
+        for k in range(1, 25):
+            model = ward(points, k)
+            merges = model.details["merges"]
+            assert len(merges) == 24 - k
+            assert all(i < j for i, j, _ in merges)
+            dists = [d for _, _, d in merges]
+            assert dists == sorted(dists)
+            # Replaying the merges on smallest members gives the partition,
+            # numbered by smallest member.
+            owner = list(range(24))
+            for i, j, _ in merges:
+                assert owner[i] == i and owner[j] == j
+                owner = [i if o == j else o for o in owner]
+            firsts = sorted(set(owner))
+            assert model.assignments.tolist() == [firsts.index(o) for o in owner]
+            # duplicated rows merge first, at height 0
+            n_distinct = len(np.unique(points, axis=0))
+            assert dists.count(0.0) == min(24 - k, 24 - n_distinct)
+
+
+@pytest.mark.parametrize("kernel", ["kmedoids", "silhouette_mean", "ward"])
+def test_peak_memory_is_quadratic_without_dimension_factor(kernel):
+    # An n x n x d temporary would need d * n^2 doubles; allow 6 n^2.
+    n, d = 1500, 12
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((n, d))
+    labels = np.arange(n) % 4
+    run = {
+        "kmedoids": lambda: kmedoids(points, 4),
+        "silhouette_mean": lambda: silhouette_mean(points, labels),
+        "ward": lambda: ward(points, 4),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n * 8
+
 
 def synthetic_curve_fit(intensity):
     """Minimal stand-in carrying just the fitted intensity curve."""
@@ -325,17 +378,29 @@ class TestMetrics:
         )
 
     def test_silhouette_direct_formula(self):
-        points = np.array([[0.0], [1.0], [10.0], [11.0]])
-        labels = np.array([0, 0, 1, 1])
-        # for each point: a = dist to own partner, b = mean dist to others
-        expected = []
-        for i in range(4):
-            own = [j for j in range(4) if labels[j] == labels[i] and j != i]
-            other = [j for j in range(4) if labels[j] != labels[i]]
-            a = np.mean([abs(points[i, 0] - points[j, 0]) for j in own])
-            b = np.mean([abs(points[i, 0] - points[j, 0]) for j in other])
-            expected.append((b - a) / max(a, b))
-        assert silhouette_mean(points, labels) == pytest.approx(np.mean(expected))
+        for points, labels in (
+            ([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1]),
+            ([[0.0], [1.0], [10.0], [11.0], [30.0]], [0, 0, 1, 1, 2]),  # singleton
+        ):
+            points = np.asarray(points)
+            labels = np.asarray(labels)
+            n = len(points)
+            # for each point: a = mean dist to own cluster, b = nearest other
+            # cluster's mean dist; a singleton scores 0
+            expected = []
+            for i in range(n):
+                own = [j for j in range(n) if labels[j] == labels[i] and j != i]
+                if not own:
+                    expected.append(0.0)
+                    continue
+                a = np.mean([abs(points[i, 0] - points[j, 0]) for j in own])
+                b = min(
+                    np.mean([abs(points[i, 0] - points[j, 0])
+                             for j in range(n) if labels[j] == other])
+                    for other in set(labels.tolist()) - {labels[i]}
+                )
+                expected.append((b - a) / max(a, b))
+            assert silhouette_mean(points, labels) == pytest.approx(np.mean(expected))
 
     def test_silhouette_needs_two_clusters(self):
         with pytest.raises(ConfigError):
@@ -374,3 +439,5 @@ class TestSweep:
     def test_unknown_method(self, planted):
         with pytest.raises(ConfigError, match="unknown"):
             robustness_sweep(planted["scores"], [2], ["dbscan"])
+        with pytest.raises(ConfigError, match="unknown"):
+            cluster("dbscan", planted["scores"], 2)

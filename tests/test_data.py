@@ -85,14 +85,21 @@ class TestParse:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(
+        st.dictionaries(
+            # ids mix CSV delimiters, quotes and spaces; no line breaks
+            st.text(
+                st.sampled_from(',"  ') | st.characters(
+                    blacklist_categories=("Cc", "Cs", "Zl", "Zp")
+                ),
+                max_size=8,
+            ),
             st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=3, max_size=3),
             min_size=1,
             max_size=6,
         )
     )
     def test_roundtrip_property(self, rows):
-        corpus = make_corpus([(f"i{k}", c) for k, c in enumerate(rows)])
+        corpus = make_corpus(list(rows.items()))
         for fmt in ("csv", "jsonl"):
             buf = io.StringIO()
             write_corpus(corpus, buf, fmt)

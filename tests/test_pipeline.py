@@ -124,6 +124,36 @@ class TestPersistence:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_interrupted_save_keeps_previous_file(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        class Interrupted(Exception):
+            pass
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            real_write = fh.write
+
+            def write(data):
+                real_write(data[: len(data) // 2])
+                fh.flush()
+                raise Interrupted
+
+            fh.write = write
+            return fh
+
+        import citetraj.pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "open", failing_open, raising=False)
+        with pytest.raises(Interrupted):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
+
     def test_numeric_roundtrip_exact(self, model, tmp_path):
         path = tmp_path / "m.json"
         save_model(model, path)
