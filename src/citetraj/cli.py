@@ -107,7 +107,8 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
                    help="divide score dimension k by sqrt(eigenvalue k) before clustering")
     p.add_argument("--eval-grid", type=int, default=None,
                    help="evaluation points for density curves (default 256)")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads (default 1)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker threads for the WSB baseline (default 1)")
     p.add_argument("--restarts", type=int, default=None, help="k-means restarts (default 10)")
     p.add_argument("--no-baseline", action="store_true", default=False,
                    help="skip the WSB baseline stage")

@@ -13,7 +13,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -121,8 +121,8 @@ def _parse_count(token: str, line_no: int, item_id: str) -> int:
     return value
 
 
-def _as_text_lines(source) -> Iterable[str]:
-    """Accept a path, raw bytes, or a binary/text stream; yield decoded lines."""
+def _as_text(source) -> str:
+    """Accept a path, raw bytes, or a binary/text stream; return decoded text."""
     if isinstance(source, bytes):
         data = source
     elif hasattr(source, "read"):
@@ -138,10 +138,9 @@ def _as_text_lines(source) -> Iterable[str]:
     else:
         raise DataError(f"unsupported corpus source: {type(source).__name__}")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"corpus is not valid UTF-8: {exc}") from exc
-    return text.splitlines()
 
 
 def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
@@ -151,22 +150,25 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
     The first record fixes the grid length T; every later row must match it.
     Row order is preserved. Errors report the offending line number.
     """
-    lines = list(_as_text_lines(source))
+    text = _as_text(source)
     if format == "csv":
-        return _parse_csv(lines, provenance)
+        return _parse_csv(text, provenance)
     if format == "jsonl":
-        return _parse_jsonl(lines, provenance)
+        return _parse_jsonl(text.splitlines(), provenance)
     raise DataError(f"unknown corpus format {format!r} (expected 'csv' or 'jsonl')")
 
 
-def _parse_csv(lines: list[str], provenance: str) -> Corpus:
+def _parse_csv(text: str, provenance: str) -> Corpus:
+    # One reader over the whole text, so quoted fields may hold line breaks;
+    # a record's line number is the line it ends on.
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
-    for line_no, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                rows.append((line_no, next(csv.reader([line]))))
-            except csv.Error as exc:
-                raise DataError(f"line {line_no}: malformed CSV: {exc}") from exc
+    try:
+        for fields in reader:
+            if len(fields) > 1 or (fields and fields[0].strip()):
+                rows.append((reader.line_num, fields))
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
     if not rows:
         raise DataError("empty CSV corpus")
     header_no, header = rows[0]
@@ -231,8 +233,12 @@ def write_corpus(corpus: Corpus, target, format: str = "csv") -> None:
     buf = io.StringIO()
     if format == "csv":
         writer = csv.writer(buf, lineterminator="\n")
+        # The writer quotes only the line breaks of its own terminator, but
+        # the reader also ends a record on a lone carriage return.
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(["id"] + [f"y{j}" for j in range(1, t + 1)])
-        writer.writerows([item.id, *item.counts] for item in corpus.items)
+        for item in corpus.items:
+            (quoted if "\r" in item.id else writer).writerow([item.id, *item.counts])
     elif format == "jsonl":
         for item in corpus.items:
             buf.write(json.dumps({"id": item.id, "counts": list(item.counts)}) + "\n")

@@ -271,14 +271,13 @@ def select_k_loglik(
     corpus: Corpus,
     basis: LatentBasis,
     k_range: Iterable[int],
-    folds: int = 5,
 ) -> SelectionTable:
-    """Score nested basis sizes by held-out per-item Poisson log-likelihood.
+    """Score nested basis sizes by in-sample per-item Poisson log-likelihood.
 
-    Items are split round-robin into ``folds`` folds; each fold's items are
-    fit (scores only) while held out and contribute their own log-likelihood.
-    Because scores are free per-item parameters, an item's held-out fit
-    coincides with its in-sample fit; the fold machinery fixes the batching.
+    For each K the items are fit (scores only) on the first K
+    eigenfunctions, and each contributes its own maximized log-likelihood.
+    Scores are free per-item parameters, so an item's fit uses no other
+    item's data: a held-out fit would equal this in-sample one.
     AIC = -2 * (mean log-likelihood) + 2K, recommended K = argmin AIC with
     ties resolved to the smaller K.  Items whose fit diverges are excluded
     from the average and counted per row.
@@ -292,29 +291,14 @@ def select_k_loglik(
         raise ConfigError(
             f"K range {ks} outside available eigenfunctions [0, {basis.k}]"
         )
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
     if len(corpus) == 0:
         raise DataError("cannot select K on an empty corpus")
-    n = len(corpus)
-    fold_of = np.arange(n) % folds
+    y = np.asarray([item.counts for item in corpus.items], dtype=float)
     rows = []
     for k in ks:
-        sub = basis.truncated(k)
-        loglik = np.full(n, np.nan)
-        converged = np.zeros(n, dtype=bool)
-        for fold in range(folds):
-            held_out = np.nonzero(fold_of == fold)[0]
-            if held_out.size == 0:
-                continue
-            fits = poisson.fit_items(
-                [corpus.items[i] for i in held_out], sub
-            )
-            for idx, fit in zip(held_out, fits):
-                loglik[idx] = fit.loglik
-                converged[idx] = fit.converged
+        _, loglik, _, converged, _, _ = poisson.fit_matrix(y, basis.truncated(k))
         included = converged & np.isfinite(loglik)
-        n_excluded = int(n - included.sum())
+        n_excluded = int(len(corpus) - included.sum())
         if not included.any():
             raise NumericalError(f"every item diverged at K={k}")
         mean_ll = float(loglik[included].mean())

@@ -54,10 +54,9 @@ class PipelineConfig:
     m_wsb: float = 30.0
     standardize: bool = False
     eval_grid: int = 256
-    jobs: int = 1
+    jobs: int = 1  # worker threads for the WSB baseline fits only
     baseline: bool = True
     select_k_max: int = 6
-    folds: int = 5
     bandwidth: float | None = None
     evergreen_tol: float = 0.05
 
@@ -183,6 +182,8 @@ def load_model(path) -> ModelFile:
     stored = data.get("checksum")
     if stored != _checksum(data):
         raise DataError(f"checksum mismatch in {path}: file is corrupt or edited")
+    # Files written before K selection lost its fold loop echo ``folds``.
+    data["config"].pop("folds", None)
     return ModelFile(data)
 
 
@@ -298,15 +299,13 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
             sel_basis = fpca.truncate_basis(
                 mean, spectrum, functions, fpca.BasisPolicy("fixed", k=k_top)
             )
-            table = fpca.select_k_loglik(
-                corpus, sel_basis, range(1, k_top + 1), folds=config.folds
-            )
+            table = fpca.select_k_loglik(corpus, sel_basis, range(1, k_top + 1))
             selection = {
                 "rows": [asdict(r) for r in table.rows],
                 "recommended_k": table.recommended_k,
             }
     with _stage("fit"):
-        fits = poisson.fit_corpus(corpus, basis, jobs=config.jobs)
+        fits = poisson.fit_corpus(corpus, basis)
         fit_summary = poisson.convergence_summary(fits)
     wsb_block = None
     comparison = None

@@ -10,7 +10,6 @@ log-likelihoods are comparable only within this package.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +24,7 @@ __all__ = [
     "TrajectoryFit",
     "poisson_loglik",
     "loglik_grad_hess",
+    "fit_matrix",
     "fit_scores",
     "fit_items",
     "fit_corpus",
@@ -35,8 +35,8 @@ __all__ = [
 # exp() overflows double precision just above exp(709); guard a bit earlier.
 ETA_OVERFLOW = 700.0
 
-# Items are fit in fixed-size chunks so results are bitwise identical no
-# matter how the corpus is split across workers.
+# Rows are fit in fixed-size chunks, which bounds the (chunk, T) and
+# (chunk, K, K) temporaries of a Newton step.
 _CHUNK = 256
 
 
@@ -72,17 +72,42 @@ class TrajectoryFit:
     history: tuple[float, ...] | None = None
 
 
+def _loglik_rows(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Row-wise log-likelihood sum_t (y_t * eta_t - exp(eta_t)).
+
+    Rows that overflow yield -inf instead of raising.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll = np.sum(y * eta - np.exp(eta), axis=1)
+    ll[~np.isfinite(ll)] = -np.inf
+    return ll
+
+
+def _gradient(y: np.ndarray, lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row-wise score gradient g_ik = sum_t (y_it - lam_it) phi_k(t), lam = exp(eta)."""
+    return np.einsum("it,kt->ik", y - lam, phi)
+
+
+def _neg_hessian(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row-wise negative Hessian -H_ikl = sum_t lam_it phi_k(t) phi_l(t)."""
+    return np.einsum("it,kt,lt->ikl", lam, phi, phi)
+
+
+def _guard(eta: np.ndarray) -> None:
+    if eta.size and float(eta.max()) > ETA_OVERFLOW:
+        raise OverflowGuardError(
+            f"eta exceeds the overflow guard ({float(eta.max()):.1f} > {ETA_OVERFLOW})"
+        )
+
+
 def poisson_loglik(counts, eta) -> float:
     """Poisson log-likelihood sum_j (y_j * eta_j - exp(eta_j)), no log y! term."""
     counts = np.asarray(counts, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if counts.shape != eta.shape:
         raise ConfigError("counts and eta must have equal length")
-    if eta.size and float(eta.max()) > ETA_OVERFLOW:
-        raise OverflowGuardError(
-            f"eta exceeds the overflow guard ({float(eta.max()):.1f} > {ETA_OVERFLOW})"
-        )
-    return float(np.sum(counts * eta - np.exp(eta)))
+    _guard(eta)
+    return float(_loglik_rows(counts[None, :], eta[None, :])[0])
 
 
 def loglik_grad_hess(counts, eta, basis: LatentBasis):
@@ -93,24 +118,10 @@ def loglik_grad_hess(counts, eta, basis: LatentBasis):
     """
     counts = np.asarray(counts, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if eta.size and float(eta.max()) > ETA_OVERFLOW:
-        raise OverflowGuardError(
-            f"eta exceeds the overflow guard ({float(eta.max()):.1f} > {ETA_OVERFLOW})"
-        )
+    _guard(eta)
     phi = basis.eigenfunctions
-    lam = np.exp(eta)
-    grad = phi @ (counts - lam)
-    hess = -(phi * lam[None, :]) @ phi.T
-    return grad, hess
-
-
-def _batch_loglik(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Row-wise log-likelihood; overflowing rows yield -inf instead of raising."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.exp(eta)
-        ll = np.sum(y * eta - lam, axis=1)
-    ll[~np.isfinite(ll)] = -np.inf
-    return ll
+    lam = np.exp(eta[None, :])
+    return _gradient(counts[None, :], lam, phi)[0], -_neg_hessian(lam, phi)[0]
 
 
 def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
@@ -121,9 +132,9 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
     Accepted iterates always have finite, increasing objective, so only the
     starting point can sit beyond the overflow guard; such items are flagged
     for the ridge fallback instead of raising.
-    Returns (scores, loglik, iterations, converged, needs_fallback).
+    Returns (scores, loglik, iterations, converged, needs_fallback, history).
     """
-    m, t = y.shape
+    m = y.shape[0]
     k = phi.shape[0]
     s = s0.copy()
     iters = np.zeros(m, dtype=int)
@@ -137,10 +148,18 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
     def eta_of(scores):
         return mu[None, :] + np.einsum("ik,kt->it", scores, phi)
 
-    if history is not None:
-        ll0 = _batch_loglik(y, eta_of(s))
+    def objective(yy, scores, eta):
+        ll = _loglik_rows(yy, eta)
         if ridge:
-            ll0 = ll0 - 0.5 * ridge * np.sum(s * s, axis=1)
+            ll = ll - 0.5 * ridge * np.sum(scores * scores, axis=1)
+        return ll
+
+    def gradient(yy, scores, lam):
+        grad = _gradient(yy, lam, phi)
+        return grad - ridge * scores if ridge else grad
+
+    if history is not None:
+        ll0 = objective(y, s, eta_of(s))
         for i in range(m):
             history[i].append(float(ll0[i]))
 
@@ -159,11 +178,9 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
                 continue
             sa = s[idx]
             eta = eta[~over]
-        lam = np.exp(eta)
         ya = y[idx]
-        grad = np.einsum("it,kt->ik", ya - lam, phi)
-        if ridge:
-            grad = grad - ridge * sa
+        lam = np.exp(eta)
+        grad = gradient(ya, sa, lam)
         gnorm = np.abs(grad).max(axis=1) if k else np.zeros(len(idx))
         done = gnorm < opts.grad_tol
         if done.any():
@@ -175,7 +192,8 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
             )
             if idx.size == 0:
                 continue
-        neg_hess = np.einsum("it,kt,lt->ikl", lam, phi, phi)
+        # Formed only for items that still step: it is the costliest term.
+        neg_hess = _neg_hessian(lam, phi)
         if ridge:
             neg_hess = neg_hess + ridge * np.eye(k)[None, :, :]
         try:
@@ -191,16 +209,12 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
             fallback[idx[bad]] = True
             active[idx[bad]] = False
             keep = ~bad
-            idx, sa, ya, grad, direction = (
-                idx[keep], sa[keep], ya[keep], grad[keep], direction[keep],
+            idx, sa, eta, ya, direction = (
+                idx[keep], sa[keep], eta[keep], ya[keep], direction[keep],
             )
             if idx.size == 0:
                 continue
-            eta = eta_of(sa)
-            lam = np.exp(eta)
-        ll = np.sum(ya * eta - lam, axis=1)
-        if ridge:
-            ll = ll - 0.5 * ridge * np.sum(sa * sa, axis=1)
+        ll = objective(ya, sa, eta)
 
         alpha = np.ones(len(idx))
         improved = np.zeros(len(idx), dtype=bool)
@@ -211,9 +225,7 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
             if not todo.any():
                 break
             trial = sa[todo] + alpha[todo, None] * direction[todo]
-            trial_ll = _batch_loglik(ya[todo], eta_of(trial))
-            if ridge:
-                trial_ll = trial_ll - 0.5 * ridge * np.sum(trial * trial, axis=1)
+            trial_ll = objective(ya[todo], trial, eta_of(trial))
             if _halving == 0:
                 # Right at the optimum the objective is float-flat: the full
                 # Newton step can read as a few ulps "worse" although the
@@ -242,69 +254,96 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
         tiny = improved & (step < opts.step_tol)
         if tiny.any():
             # Final gradient check so the converged flag keeps its meaning.
-            eta_t = eta_of(new_s[tiny])
-            lam_t = np.exp(eta_t)
-            g_t = np.einsum("it,kt->ik", y[idx[tiny]] - lam_t, phi)
-            if ridge:
-                g_t = g_t - ridge * new_s[tiny]
+            s_t = new_s[tiny]
+            g_t = gradient(y[idx[tiny]], s_t, np.exp(eta_of(s_t)))
             converged[idx[tiny]] = np.abs(g_t).max(axis=1) < opts.grad_tol
             active[idx[tiny]] = False
 
     # Reported log-likelihood is always unpenalized, even for ridged fits.
-    ll = _batch_loglik(y, eta_of(s))
+    ll = _loglik_rows(y, eta_of(s))
     return s, ll, iters, converged, fallback, history
 
 
-def _fit_batch(
-    y: np.ndarray,
-    ids: Sequence[str],
-    basis: LatentBasis,
-    opts: FitOptions,
-) -> list[TrajectoryFit]:
+def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None):
+    """Maximum likelihood scores for every row of an (n, T) count matrix.
+
+    Newton's method with step halving, initialized at the projection of the
+    log-transformed deviation onto the basis.  Convergence when the max
+    absolute gradient drops below ``grad_tol`` (or the step shrinks below
+    ``step_tol`` and the final gradient check passes); ``max_iter``
+    iterations otherwise, flagged.  Rows whose start trips the overflow
+    guard, or whose Hessian is singular, are refit with a ridge penalty from
+    zero scores.
+
+    Returns ``(scores (n, K), loglik (n,), iterations (n,), converged (n,),
+    ridged (n,), history)``; ``history`` holds one tuple of objective values
+    per row when ``options.record_history`` is set and is None otherwise.
+    """
+    opts = options or FitOptions()
+    y = np.asarray(y, dtype=float)
+    t = basis.grid.n_years
+    if y.ndim != 2 or y.shape[1] != t:
+        raise DataError(f"count matrix has shape {y.shape}, basis grid has {t} years")
     mu = basis.mean
     phi = basis.eigenfunctions
-    delta = basis.grid.delta
-    m, t = y.shape
-    k = basis.k
-    if k == 0:
-        eta = np.broadcast_to(mu, (m, t))
-        lam = np.exp(eta)
-        ll = np.sum(y * eta - lam, axis=1)
-        mse = np.mean((y - lam) ** 2, axis=1)
-        return [
-            TrajectoryFit(
-                id=ids[i], scores=np.zeros(0), eta=mu.copy(), intensity=np.exp(mu),
-                loglik=float(ll[i]), mse=float(mse[i]), iterations=0,
-                converged=True, ridged=False,
+    n, k = y.shape[0], basis.k
+    scores = np.zeros((n, k))
+    loglik = np.zeros(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    ridged = np.zeros(n, dtype=bool)
+    history: list[tuple[float, ...]] | None = [] if opts.record_history else None
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        yc = y[rows]
+        s0 = np.einsum("it,kt->ik", np.log1p(yc) - mu[None, :], phi) * basis.grid.delta
+        s, ll, it, conv, fallback, hist = _newton_batch(yc, mu, phi, opts, 0.0, s0)
+        if fallback.any():
+            # Ridge fallback restarts the flagged items from zero scores,
+            # which keeps the initial linear predictor at the (safe) mean.
+            idx = np.nonzero(fallback)[0]
+            s2, ll2, it2, conv2, _, hist2 = _newton_batch(
+                yc[idx], mu, phi, opts, opts.ridge, np.zeros((idx.size, k))
             )
-            for i in range(m)
-        ]
-    z = np.log1p(y)
-    s0 = np.einsum("it,kt->ik", z - mu[None, :], phi) * delta
-    s, ll, iters, conv, fallback, history = _newton_batch(y, mu, phi, opts, 0.0, s0)
-    if fallback.any():
-        # Ridge fallback restarts the flagged items from zero scores, which
-        # keeps the initial linear predictor at the (safe) mean curve.
-        idx = np.nonzero(fallback)[0]
-        s2, ll2, it2, conv2, _, hist2 = _newton_batch(
-            y[idx], mu, phi, opts, opts.ridge, np.zeros((idx.size, k))
-        )
-        s[idx], ll[idx], conv[idx] = s2, ll2, conv2
-        iters[idx] += it2
-        if history is not None and hist2 is not None:
-            for j, i in enumerate(idx):
-                history[i] = hist2[j]
+            s[idx], ll[idx], conv[idx] = s2, ll2, conv2
+            it[idx] += it2
+            if hist is not None:
+                for j, i in enumerate(idx):
+                    hist[i] = hist2[j]
+        scores[rows], loglik[rows], iterations[rows] = s, ll, it
+        converged[rows], ridged[rows] = conv, fallback
+        if history is not None:
+            history.extend(tuple(h) for h in hist)
+    return scores, loglik, iterations, converged, ridged, history
+
+
+def fit_items(
+    items: Sequence[CountTrajectory],
+    basis: LatentBasis,
+    options: FitOptions | None = None,
+) -> list[TrajectoryFit]:
+    """Fit a list of trajectories (see :func:`fit_matrix`), in order."""
+    if not items:
+        return []
+    # The count matrix is dropped before the fits are built, so the two
+    # never sit in memory together.
+    scores, loglik, iterations, converged, ridged, history = fit_matrix(
+        np.asarray([it.counts for it in items], dtype=float), basis, options
+    )
+    mu = basis.mean
+    phi = basis.eigenfunctions
     out = []
-    for i in range(m):
-        eta = mu + s[i] @ phi
+    for i, item in enumerate(items):
+        y = np.asarray(item.counts, dtype=float)
+        eta = mu + scores[i] @ phi
         lam = np.exp(eta)
-        mse = float(np.mean((y[i] - lam) ** 2))
         out.append(
             TrajectoryFit(
-                id=ids[i], scores=s[i].copy(), eta=eta, intensity=lam,
-                loglik=float(ll[i]), mse=mse, iterations=int(iters[i]),
-                converged=bool(conv[i]), ridged=bool(fallback[i]),
-                history=tuple(history[i]) if history is not None else None,
+                id=item.id, scores=scores[i].copy(), eta=eta, intensity=lam,
+                loglik=float(loglik[i]), mse=float(np.mean((y - lam) ** 2)),
+                iterations=int(iterations[i]), converged=bool(converged[i]),
+                ridged=bool(ridged[i]),
+                history=history[i] if history is not None else None,
             )
         )
     return out
@@ -313,68 +352,19 @@ def _fit_batch(
 def fit_scores(
     traj: CountTrajectory, basis: LatentBasis, options: FitOptions | None = None
 ) -> TrajectoryFit:
-    """Maximum likelihood scores for a single trajectory.
-
-    Newton's method with step halving, initialized at the projection of the
-    log-transformed deviation onto the basis.  Convergence when the max
-    absolute gradient drops below 1e-8 (or the step shrinks below 1e-10 and
-    the final gradient check passes); 100 iterations otherwise, flagged.
-    """
-    if len(traj.counts) != basis.grid.n_years:
-        raise DataError(
-            f"item {traj.id!r} has {len(traj.counts)} counts, basis grid has "
-            f"{basis.grid.n_years}"
-        )
-    opts = options or FitOptions()
-    y = np.asarray([traj.counts], dtype=float)
-    return _fit_batch(y, [traj.id], basis, opts)[0]
-
-
-def fit_items(
-    items: Sequence[CountTrajectory],
-    basis: LatentBasis,
-    options: FitOptions | None = None,
-) -> list[TrajectoryFit]:
-    """Fit a list of trajectories in fixed-size chunks (deterministic)."""
-    opts = options or FitOptions()
-    out: list[TrajectoryFit] = []
-    for lo in range(0, len(items), _CHUNK):
-        chunk = items[lo : lo + _CHUNK]
-        y = np.asarray([it.counts for it in chunk], dtype=float)
-        out.extend(_fit_batch(y, [it.id for it in chunk], basis, opts))
-    return out
+    """Maximum likelihood scores for a single trajectory."""
+    return fit_items([traj], basis, options)[0]
 
 
 def fit_corpus(
     corpus: Corpus,
     basis: LatentBasis,
     options: FitOptions | None = None,
-    jobs: int = 1,
 ) -> list[TrajectoryFit]:
-    """Independent per-item fits for a whole corpus, in corpus order.
-
-    Items are processed in fixed-size chunks; with ``jobs > 1`` the chunks
-    run on a thread pool.  Chunk boundaries are identical either way, so the
-    result is bitwise independent of the schedule.
-    """
+    """Independent per-item fits for a whole corpus, in corpus order."""
     if corpus.grid.n_years != basis.grid.n_years:
         raise DataError("corpus and basis grids disagree")
-    opts = options or FitOptions()
-    chunks = [corpus.items[lo : lo + _CHUNK] for lo in range(0, len(corpus), _CHUNK)]
-
-    def run(chunk):
-        y = np.asarray([it.counts for it in chunk], dtype=float)
-        return _fit_batch(y, [it.id for it in chunk], basis, opts)
-
-    out: list[TrajectoryFit] = []
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for fits in pool.map(run, chunks):
-                out.extend(fits)
-    else:
-        for chunk in chunks:
-            out.extend(run(chunk))
-    return out
+    return fit_items(corpus.items, basis, options)
 
 
 def fit_mse(traj: CountTrajectory, fit: TrajectoryFit) -> float:

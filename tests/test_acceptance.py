@@ -169,7 +169,7 @@ def test_criterion_4_synthetic_recovery(planted2000):
         spectrum, functions = fpca.eigendecompose_symmetric(cov)
         sel = fpca.truncate_basis(mean, spectrum, functions,
                                   fpca.BasisPolicy("fixed", k=6))
-        table = fpca.select_k_loglik(corpus, sel, range(1, 7), folds=5)
+        table = fpca.select_k_loglik(corpus, sel, range(1, 7))
         hits += table.recommended_k == 4
     elapsed = time.perf_counter() - start
     report(

@@ -13,6 +13,7 @@ from citetraj.cli import (
     read_config_file,
 )
 from citetraj.errors import ConfigError
+from citetraj.pipeline import PipelineConfig, run_pipeline, save_model
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,20 @@ def test_cluster_adds_method(workspace):
     assert rc == EXIT_OK
     data = json.loads((workspace / "model.json").read_text())
     assert "3" in data["clusters"]["ward"]
+
+
+def test_cluster_accepts_model_with_stored_folds(workspace, tmp_path):
+    # Model files written while K selection ran a fold loop echo `folds`.
+    model = run_pipeline(PipelineConfig(input=str(workspace / "corpus.jsonl"), seed=2,
+                                        baseline=False))
+    model.data["config"]["folds"] = 5
+    save_model(model, tmp_path / "model.json")
+    rc = main(["cluster", "--output-dir", str(tmp_path), "--method", "ward",
+               "--k-clusters", "3"])
+    assert rc == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert "3" in data["clusters"]["ward"]
+    assert "folds" not in data["config"]
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citetraj import synthgen
@@ -86,9 +86,9 @@ class TestParse:
     @settings(max_examples=30, deadline=None)
     @given(
         st.dictionaries(
-            # ids mix CSV delimiters, quotes and spaces; no line breaks
+            # ids mix CSV delimiters, quotes, spaces and line breaks
             st.text(
-                st.sampled_from(',"  ') | st.characters(
+                st.sampled_from(',"  \n\r\x85\u2028') | st.characters(
                     blacklist_categories=("Cc", "Cs", "Zl", "Zp")
                 ),
                 max_size=8,
@@ -98,6 +98,8 @@ class TestParse:
             max_size=6,
         )
     )
+    @example({"a\rb": [1, 2, 3], "c\nd": [4, 5, 6], "\r\n": [0, 0, 0],
+              "e\x85f\u2028": [7, 8, 9]})
     def test_roundtrip_property(self, rows):
         corpus = make_corpus(list(rows.items()))
         for fmt in ("csv", "jsonl"):

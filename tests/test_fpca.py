@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from citetraj import synthgen
+from citetraj import poisson, synthgen
 from citetraj.data import Corpus, CountTrajectory, TimeGrid
 from citetraj.errors import ConfigError, DataError, NumericalError
 from citetraj.fpca import (
@@ -222,13 +222,12 @@ class TestTruncate:
 
 class TestSelectK:
     def test_single_k_range(self, planted):
-        table = select_k_loglik(planted["corpus"], planted["basis"], [1], folds=2)
+        table = select_k_loglik(planted["corpus"], planted["basis"], [1])
         assert len(table.rows) == 1
         assert table.recommended_k == 1
 
     def test_in_sample_loglik_nondecreasing(self, planted):
-        table = select_k_loglik(planted["corpus"], planted["basis"], range(1, 5),
-                                folds=4)
+        table = select_k_loglik(planted["corpus"], planted["basis"], range(1, 5))
         assert all(r.n_excluded == 0 for r in table.rows)
         lls = [r.mean_loglik for r in table.rows]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
@@ -248,14 +247,19 @@ class TestSelectK:
             cov = covariance_matrix(corpus, mean.values)
             values, functions = eigendecompose_symmetric(cov)
             basis = truncate_basis(mean, values, functions, BasisPolicy("fixed", k=4))
-            table = select_k_loglik(corpus, basis, range(1, 5), folds=5)
+            table = select_k_loglik(corpus, basis, range(1, 5))
             hits += table.recommended_k == 2
         assert hits >= 18  # >= 90% of 20 replications
 
-    def test_bad_folds(self, planted):
-        with pytest.raises(ConfigError, match="folds"):
-            select_k_loglik(planted["corpus"], planted["basis"], [1, 2], folds=1)
+    def test_mean_loglik_is_mean_of_in_sample_fits(self, planted):
+        corpus = planted["corpus"]
+        basis = planted["basis"]
+        table = select_k_loglik(corpus, basis, range(0, 5))
+        for row in table.rows:
+            fits = poisson.fit_corpus(corpus, basis.truncated(row.k))
+            assert row.n_excluded == 0
+            assert row.mean_loglik == float(np.mean([f.loglik for f in fits]))
 
     def test_k_range_outside_basis(self, planted):
         with pytest.raises(ConfigError, match="outside"):
-            select_k_loglik(planted["corpus"], planted["basis"], [5], folds=2)
+            select_k_loglik(planted["corpus"], planted["basis"], [5])

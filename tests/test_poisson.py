@@ -10,6 +10,8 @@ from citetraj.poisson import (
     FitOptions,
     convergence_summary,
     fit_corpus,
+    fit_items,
+    fit_matrix,
     fit_mse,
     fit_scores,
     loglik_grad_hess,
@@ -207,15 +209,24 @@ class TestFitCorpus:
         for fit in fits_perm:
             assert np.array_equal(fit.scores, by_id[fit.id].scores)
 
-    def test_parallel_matches_serial(self, planted):
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_fit_matrix_matches_fit_items_bitwise(self, planted, record_history):
         corpus = planted["corpus"]
         basis = planted["basis"]
-        serial = planted["fits"]
-        parallel = fit_corpus(corpus, basis, jobs=4)
-        for a, b in zip(serial, parallel):
-            assert a.id == b.id
-            assert np.array_equal(a.scores, b.scores)
-            assert a.loglik == b.loglik
+        opts = FitOptions(record_history=record_history)
+        y = np.asarray([it.counts for it in corpus.items], dtype=float)
+        scores, loglik, iterations, converged, ridged, history = fit_matrix(y, basis, opts)
+        fits = fit_items(corpus.items, basis, opts)
+        assert scores.shape == (len(corpus), basis.k)
+        assert (history is None) == (not record_history)
+        for i, fit in enumerate(fits):
+            assert fit.id == corpus.items[i].id
+            assert np.array_equal(fit.scores, scores[i])
+            assert fit.loglik == loglik[i]
+            assert fit.iterations == iterations[i]
+            assert fit.converged == converged[i]
+            assert fit.ridged == ridged[i]
+            assert fit.history == (history[i] if record_history else None)
 
     def test_score_recovery_correlation(self):
         from citetraj import synthgen
