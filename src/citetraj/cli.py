@@ -2,7 +2,10 @@
 
 Subcommands: simulate, ingest, fit, baseline, cluster, label, sensitivity,
 plot, and run (all-in-one).  Stage commands share one artifact, the model
-JSON at <output-dir>/model.json.  Options resolve as flags > config file >
+JSON at <output-dir>/model.json: ``fit`` and ``run`` write it, and
+``baseline``, ``cluster`` and ``sensitivity`` run only their own stage on
+the stored corpus, scores and fits and update their own blocks in place,
+without recomputing the rest.  Options resolve as flags > config file >
 defaults; the config file is flat ``key = value`` lines using the long flag
 names with dashes or underscores.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import statistics
 import sys
 from dataclasses import fields as dc_fields
 
@@ -204,8 +208,7 @@ def _cmd_simulate(args, config: PipelineConfig) -> int:
 def _cmd_ingest(args, config: PipelineConfig) -> int:
     if not config.input:
         raise ConfigError("ingest needs --input")
-    fmt = config.format or ("jsonl" if config.input.endswith(".jsonl") else "csv")
-    corpus = parse_corpus(config.input, fmt)
+    corpus = parse_corpus(config.input, pipeline.detect_format(config.input, config.format))
     result = filter_by_total(corpus, config.min_total)
     os.makedirs(config.output_dir, exist_ok=True)
     out_path = os.path.join(config.output_dir, "corpus.jsonl")
@@ -235,51 +238,39 @@ def _cmd_fit(args, config: PipelineConfig) -> int:
 
 
 def _cmd_baseline(args, config: PipelineConfig) -> int:
-    # The model is recomputed with the baseline stage enabled; per-item fits
-    # are deterministic, so existing fields stay identical.
     model = _load_for_stage(config, "baseline")
-    stored = PipelineConfig(**model.data["config"])
-    if stored.baseline and model.data.get("wsb"):
+    data = model.data
+    if data["config"]["baseline"] and data.get("wsb"):
         print("model already has the baseline stage; nothing to do")
         return EXIT_OK
-    cfg = PipelineConfig(**{**model.data["config"], "baseline": True})
-    new_model = run_pipeline(cfg, corpus=model.corpus())
-    save_model(new_model, _model_path(config))
-    comp = new_model.data["comparison"]
-    import numpy as np
-
+    data["config"]["baseline"] = True
+    cfg = PipelineConfig(**{**data["config"], "jobs": config.jobs})
+    data["wsb"], data["comparison"] = pipeline.baseline_stage(
+        model.corpus().items, data["fits"]["mse"], cfg
+    )
+    save_model(model, _model_path(config))
+    comp = data["comparison"]
     print(
         "baseline added: median log10 MSE wsb=%.3f fpca=%.3f"
-        % (
-            float(np.median(comp["log10_mse_wsb"])),
-            float(np.median(comp["log10_mse_fpca"])),
-        )
+        % (statistics.median(comp["log10_mse_wsb"]), statistics.median(comp["log10_mse_fpca"]))
     )
     return EXIT_OK
 
 
 def _cmd_cluster(args, config: PipelineConfig) -> int:
     model = _load_for_stage(config, "cluster")
-    if model.data.get("cluster_refusal"):
-        raise ConfigError(model.data["cluster_refusal"])
-    cfg = PipelineConfig(**{
-        **model.data["config"],
-        "method": config.method,
-        "k_clusters": config.k_clusters,
-        "seed": config.seed,
-        "standardize": config.standardize,
-    })
-    new_model = run_pipeline(cfg, corpus=model.corpus())
-    merged = dict(model.data)
-    clusters = {k: dict(v) for k, v in (merged.get("clusters") or {}).items()}
-    for method, per_k in new_model.data["clusters"].items():
-        clusters.setdefault(method, {}).update(per_k)
-    merged["clusters"] = clusters
-    merged["item_labels"] = new_model.data["item_labels"]
-    merged["config"] = new_model.data["config"]
-    out = ModelFile(merged)
-    save_model(out, _model_path(config))
-    entry = out.cluster_entry(cfg.method, cfg.k_clusters)
+    data = model.data
+    data["config"].update(
+        method=config.method, k_clusters=config.k_clusters, seed=config.seed,
+        standardize=config.standardize, restarts=config.restarts,
+    )
+    cfg = PipelineConfig(**data["config"])
+    entry, refusal = pipeline.cluster_stage(model.scores(), model.basis(), cfg)
+    if refusal:
+        raise ConfigError(refusal)
+    data["clusters"].setdefault(cfg.method, {})[str(cfg.k_clusters)] = entry
+    data["cluster_refusal"] = None
+    save_model(model, _model_path(config))
     print(
         f"clustered with {cfg.method} K={cfg.k_clusters}: within_ss="
         f"{entry['within_ss']:.3f}, labels={entry['labels']}"

@@ -6,7 +6,7 @@ Three clustering families cover the robustness comparison: k-means
 ``linkage``; ``cluster`` runs any of ``METHODS`` by name.  Cluster centroids
 are mapped back to intensity curves through the latent basis and labeled by
 shape: evergreen (no yearly decline beyond tolerance), delayed (late peak),
-or normal split into high and low levels.
+or normal split into high and low levels; ``cluster_and_label`` does both.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "ShapeThresholds",
     "SweepReport",
     "cluster",
+    "cluster_and_label",
     "kmeans",
     "kmedoids",
     "ward",
@@ -292,6 +293,34 @@ def cluster(method: str, points, k: int, seed: int = 0, restarts: int = 10) -> C
     raise ConfigError(f"unknown clustering methods: {[method]}")
 
 
+def _standardized(scores: np.ndarray, basis: LatentBasis | None, standardize: bool):
+    if not standardize:
+        return scores
+    if np.any(basis.eigenvalues <= 0):
+        raise NumericalError("cannot standardize: basis has zero eigenvalues")
+    return scores / np.sqrt(basis.eigenvalues)
+
+
+def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, seed: int = 0,
+                      restarts: int = 10, standardize: bool = False,
+                      thresholds: ShapeThresholds | None = None) -> ClusterModel:
+    """Cluster per-item scores and label each cluster by its shape.
+
+    ``standardize`` clusters the scores divided by the square root of each
+    basis eigenvalue; the centroids stay in that space.  Labels come from
+    raw-score centroids, the mean scores of each cluster's members (an
+    empty cluster maps its centroid back).  Without a basis, no labels.
+    """
+    scores = np.asarray(scores, dtype=float)
+    model = cluster(method, _standardized(scores, basis, standardize), k, seed, restarts)
+    if basis is None:
+        return model
+    raw = model.centroids * (np.sqrt(basis.eigenvalues) if standardize else 1.0)
+    for j in np.unique(model.assignments):
+        raw[j] = scores[model.assignments == j].mean(axis=0)
+    return model.with_labels(label_clusters(model, basis, thresholds, centroids=raw))
+
+
 def _centroid_intensity(centroid: np.ndarray, basis: LatentBasis) -> np.ndarray:
     eta = basis.mean + centroid @ basis.eigenfunctions
     return np.exp(eta)
@@ -424,21 +453,24 @@ class SweepReport:
 
 
 def robustness_sweep(
-    points,
+    scores,
     k_values: Iterable[int],
     methods: Sequence[str],
     seed: int = 0,
     restarts: int = 10,
     basis: LatentBasis | None = None,
     thresholds: ShapeThresholds | None = None,
+    standardize: bool = False,
 ) -> SweepReport:
     """Run every (K, method) cell and summarize agreement between methods.
 
-    Each cell reports within_ss, mean silhouette, cluster sizes, and (when a
-    basis is supplied) shape labels; for each K the pairwise adjusted Rand
-    index between methods quantifies robustness of the partition.
+    Each cell is one ``cluster_and_label`` call and reports within_ss, mean
+    silhouette, cluster sizes, and (when a basis is supplied) shape labels;
+    for each K the pairwise adjusted Rand index between methods quantifies
+    robustness of the partition.
     """
-    points = np.asarray(points, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    points = _standardized(scores, basis, standardize)
     k_values = sorted(set(int(k) for k in k_values))
     bad = [m for m in methods if m not in METHODS]
     if bad:
@@ -447,9 +479,9 @@ def robustness_sweep(
     cells: dict[str, dict[str, dict]] = {m: {} for m in methods}
     for method in methods:
         for k in k_values:
-            model = cluster(method, points, k, seed=seed, restarts=restarts)
-            if basis is not None:
-                model = model.with_labels(label_clusters(model, basis, thresholds))
+            model = cluster_and_label(
+                method, scores, k, basis, seed, restarts, standardize, thresholds
+            )
             models[(method, k)] = model
             sizes = np.bincount(model.assignments, minlength=k)
             cells[method][str(k)] = {

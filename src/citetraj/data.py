@@ -154,7 +154,9 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
     if format == "csv":
         return _parse_csv(text, provenance)
     if format == "jsonl":
-        return _parse_jsonl(text.splitlines(), provenance)
+        # Records end at "\n" only: JSON strings may hold U+2028 or U+0085
+        # raw, and a trailing "\r" is JSON whitespace.
+        return _parse_jsonl(text.split("\n"), provenance)
     raise DataError(f"unknown corpus format {format!r} (expected 'csv' or 'jsonl')")
 
 

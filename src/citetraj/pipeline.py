@@ -21,7 +21,7 @@ import numpy as np
 from . import clustering as clus
 from . import fpca, poisson, wsb
 from .data import Corpus, CountTrajectory, TimeGrid, counts_matrix, filter_by_total, parse_corpus
-from .errors import ConfigError, DataError, NumericalError, StageError
+from .errors import ConfigError, DataError, StageError
 from .smoothing import SmoothCurve
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "ModelFile",
     "SCHEMA_VERSION",
     "run_pipeline",
+    "baseline_stage",
+    "cluster_stage",
     "sensitivity",
     "save_model",
     "load_model",
@@ -213,7 +215,7 @@ def _stage(name: str):
     return _Ctx()
 
 
-def _detect_format(path: str, override: str | None) -> str:
+def detect_format(path: str, override: str | None) -> str:
     if override:
         return override
     if str(path).endswith(".jsonl"):
@@ -221,34 +223,62 @@ def _detect_format(path: str, override: str | None) -> str:
     return "csv"
 
 
-def _cluster_points(scores: np.ndarray, basis: fpca.LatentBasis, standardize: bool):
-    if not standardize:
-        return scores
-    lam = basis.eigenvalues
-    if np.any(lam <= 0):
-        raise NumericalError("cannot standardize: basis has zero eigenvalues")
-    return scores / np.sqrt(lam)[None, :]
+def _shape_thresholds(config: PipelineConfig) -> clus.ShapeThresholds:
+    return clus.ShapeThresholds(evergreen_rel_tol=config.evergreen_tol)
 
 
-def _raw_centroids(scores: np.ndarray, assignments: np.ndarray, k: int,
-                   fallback: np.ndarray) -> np.ndarray:
-    """Cluster means in raw score space; empty clusters fall back."""
-    cents = []
-    for j in range(k):
-        members = scores[assignments == j]
-        cents.append(members.mean(axis=0) if len(members) else fallback[j])
-    return np.stack(cents)
+def baseline_stage(items: Sequence[CountTrajectory], fpca_mse: Sequence[float],
+                   config: PipelineConfig) -> tuple[dict, dict]:
+    """The model's ``wsb`` and ``comparison`` blocks: per-item WSB fits set
+    against the functional fits' per-item MSEs ``fpca_mse``."""
+    wsb_fits = wsb.fit_wsb_corpus(items, m=config.m_wsb, jobs=config.jobs)
+    wsb_block = {
+        "m": float(config.m_wsb),
+        "lam": [float(f.params.lam) for f in wsb_fits],
+        "mu": [float(f.params.mu) for f in wsb_fits],
+        "sigma": [float(f.params.sigma) for f in wsb_fits],
+        "mse": [float(f.mse) for f in wsb_fits],
+        "converged": [bool(f.converged) for f in wsb_fits],
+        "objective": [float(f.objective) if np.isfinite(f.objective) else None
+                      for f in wsb_fits],
+    }
+    table = wsb.compare_models(
+        [it.id for it in items], fpca_mse, wsb_fits, eval_points=config.eval_grid
+    )
+    comparison = {
+        "log10_mse_wsb": _floats(table.log10_mse_wsb),
+        "log10_mse_fpca": _floats(table.log10_mse_fpca),
+        "kde_eval": _floats(table.kde_wsb.eval_points),
+        "kde_wsb": _floats(table.kde_wsb.densities),
+        "kde_fpca": _floats(table.kde_fpca.densities),
+        "kde_bandwidth": float(table.kde_wsb.bandwidth),
+    }
+    return wsb_block, comparison
 
 
-def _cluster_payload(model: clus.ClusterModel, labels) -> dict:
+def cluster_stage(scores: np.ndarray, basis: fpca.LatentBasis,
+                  config: PipelineConfig) -> tuple[dict | None, str | None]:
+    """The model's cluster entry for (``config.method``, ``config.k_clusters``),
+    or None and the reason clustering is refused."""
+    if basis.k < 1:
+        return None, "clustering refused: zero-dimensional scores (k-basis is 0)"
+    if len(scores) < config.k_clusters:
+        return None, (
+            f"clustering refused: {len(scores)} items cannot form "
+            f"{config.k_clusters} clusters"
+        )
+    model = clus.cluster_and_label(
+        config.method, scores, config.k_clusters, basis, config.seed,
+        config.restarts, config.standardize, _shape_thresholds(config),
+    )
     return {
         "centroids": [_floats(c) for c in model.centroids],
         "assignments": [int(a) for a in model.assignments],
         "within_ss": float(model.within_ss),
         "seed": int(model.seed),
         "method": model.method,
-        "labels": list(labels) if labels is not None else None,
-    }
+        "labels": list(model.labels),
+    }, None
 
 
 def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelFile:
@@ -264,7 +294,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
             if not config.input:
                 raise ConfigError("no corpus given: set input path")
             corpus = parse_corpus(
-                config.input, _detect_format(config.input, config.format)
+                config.input, detect_format(config.input, config.format)
             )
     with _stage("filter"):
         result = filter_by_total(corpus, config.min_total)
@@ -307,67 +337,22 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
     with _stage("fit"):
         fits = poisson.fit_corpus(corpus, basis)
         fit_summary = poisson.convergence_summary(fits)
-    wsb_block = None
-    comparison = None
+    wsb_block = comparison = item_labels = None
     if config.baseline:
         with _stage("baseline"):
-            wsb_fits = wsb.fit_wsb_corpus(corpus.items, m=config.m_wsb, jobs=config.jobs)
-            wsb_block = {
-                "m": float(config.m_wsb),
-                "lam": [float(f.params.lam) for f in wsb_fits],
-                "mu": [float(f.params.mu) for f in wsb_fits],
-                "sigma": [float(f.params.sigma) for f in wsb_fits],
-                "mse": [float(f.mse) for f in wsb_fits],
-                "converged": [bool(f.converged) for f in wsb_fits],
-                "objective": [
-                    float(f.objective) if np.isfinite(f.objective) else None
-                    for f in wsb_fits
-                ],
-            }
-            table = wsb.compare_models(fits, wsb_fits, eval_points=config.eval_grid)
-            comparison = {
-                "log10_mse_wsb": _floats(table.log10_mse_wsb),
-                "log10_mse_fpca": _floats(table.log10_mse_fpca),
-                "kde_eval": _floats(table.kde_wsb.eval_points),
-                "kde_wsb": _floats(table.kde_wsb.densities),
-                "kde_fpca": _floats(table.kde_fpca.densities),
-                "kde_bandwidth": float(table.kde_wsb.bandwidth),
-            }
-    clusters: dict = {}
-    cluster_refusal = None
-    item_labels = None
-    thresholds_cfg = clus.ShapeThresholds(evergreen_rel_tol=config.evergreen_tol)
+            wsb_block, comparison = baseline_stage(
+                corpus.items, [f.mse for f in fits], config
+            )
     with _stage("cluster"):
         scores = np.asarray([f.scores for f in fits], dtype=float).reshape(
             len(fits), basis.k
         )
-        if basis.k < 1:
-            cluster_refusal = (
-                "clustering refused: zero-dimensional scores (k-basis is 0)"
-            )
-        elif len(corpus) < config.k_clusters:
-            cluster_refusal = (
-                f"clustering refused: {len(corpus)} items cannot form "
-                f"{config.k_clusters} clusters"
-            )
-        else:
-            points = _cluster_points(scores, basis, config.standardize)
-            model = clus.cluster(
-                config.method, points, config.k_clusters, config.seed, config.restarts
-            )
-            fallback = model.centroids * (
-                np.sqrt(basis.eigenvalues)[None, :] if config.standardize else 1.0
-            )
-            raw_centroids = _raw_centroids(
-                scores, model.assignments, config.k_clusters, fallback
-            )
-            labels = clus.label_clusters(
-                model, basis, thresholds_cfg, centroids=raw_centroids
-            )
-            clusters = {config.method: {str(config.k_clusters): _cluster_payload(model, labels)}}
+        entry, cluster_refusal = cluster_stage(scores, basis, config)
+        clusters = {config.method: {str(config.k_clusters): entry}} if entry else {}
     with _stage("label"):
         if basis.k >= 1:
-            item_labels = [clus.classify_item(f, thresholds_cfg) for f in fits]
+            th = _shape_thresholds(config)
+            item_labels = [clus.classify_item(f, th) for f in fits]
     config_echo = asdict(config)
     # Execution knobs that cannot change model content stay out of the
     # persisted echo, keeping equal-config runs byte-identical across
@@ -423,11 +408,6 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
     return ModelFile(data)
 
 
-def _evergreen_items(assignments: np.ndarray, labels: Sequence[str], ids) -> set:
-    ever = {j for j, lab in enumerate(labels) if lab == "evergreen"}
-    return {i for i, a in zip(ids, assignments) if int(a) in ever}
-
-
 def sensitivity(
     model: ModelFile,
     thresholds: Sequence[int] = (0, 10),
@@ -442,67 +422,43 @@ def sensitivity(
     threshold's run on the common items, plus persistence of evergreen
     cluster membership.
     """
-    cfg = model.data["config"]
+    cfg = PipelineConfig(**model.data["config"])
     basis = model.basis()
     if basis.k < 1:
         raise ConfigError("sensitivity needs a model with a nonempty basis")
     scores = model.scores()
-    points = _cluster_points(scores, basis, cfg.get("standardize", False))
-    seed = int(cfg.get("seed", 0))
-    restarts = int(cfg.get("restarts", 10))
-    th_cfg = clus.ShapeThresholds(evergreen_rel_tol=cfg.get("evergreen_tol", 0.05))
+    th_cfg = _shape_thresholds(cfg)
     sweep = clus.robustness_sweep(
-        points, k_values, list(methods), seed=seed, restarts=restarts,
-        basis=basis, thresholds=th_cfg,
+        scores, k_values, list(methods), seed=cfg.seed, restarts=cfg.restarts,
+        basis=basis, thresholds=th_cfg, standardize=cfg.standardize,
     )
 
-    corpus = model.corpus()
-    totals = counts_matrix(corpus).sum(axis=1)
-    ids = np.asarray(corpus.ids)
-    method = cfg.get("method", "kmeans")
-    k = int(cfg.get("k_clusters", 4))
+    totals = counts_matrix(model.corpus()).sum(axis=1)
+    k = cfg.k_clusters
     runs = {}
     for tau in thresholds:
         mask = totals >= tau
-        if int(mask.sum()) < k:
-            runs[int(tau)] = None
-            continue
-        sub = points[mask]
-        cm = clus.cluster(method, sub, k, seed, restarts)
-        fallback = cm.centroids * (
-            np.sqrt(basis.eigenvalues)[None, :]
-            if cfg.get("standardize", False)
-            else 1.0
-        )
-        raw_cent = _raw_centroids(scores[mask], cm.assignments, k, fallback)
-        labels = clus.label_clusters(cm, basis, th_cfg, centroids=raw_cent)
-        runs[int(tau)] = {
-            "ids": ids[mask],
-            "assignments": cm.assignments,
-            "labels": labels,
-        }
+        runs[int(tau)] = mask, (clus.cluster_and_label(
+            cfg.method, scores[mask], k, basis, cfg.seed, cfg.restarts,
+            cfg.standardize, th_cfg,
+        ) if mask.sum() >= k else None)
     base_tau = int(thresholds[0])
-    base = runs[base_tau]
-    threshold_report = {"base_threshold": base_tau, "method": method, "k": k, "runs": {}}
-    for tau, run in runs.items():
-        entry: dict = {"kept": int((totals >= tau).sum())}
+    base_mask, base = runs[base_tau]
+    threshold_report = {"base_threshold": base_tau, "method": cfg.method, "k": k, "runs": {}}
+    for tau, (mask, run) in runs.items():
+        entry: dict = {"kept": int(mask.sum())}
         if run is not None and base is not None:
-            common = np.intersect1d(base["ids"], run["ids"])
-            if common.size:
-                pos_b = {i: j for j, i in enumerate(base["ids"])}
-                pos_r = {i: j for j, i in enumerate(run["ids"])}
-                a = [int(base["assignments"][pos_b[i]]) for i in common]
-                b = [int(run["assignments"][pos_r[i]]) for i in common]
+            common = base_mask & mask
+            if common.any():
+                a = base.assignments[common[base_mask]]
+                b = run.assignments[common[mask]]
                 entry["ari_vs_base"] = clus.adjusted_rand_index(a, b)
-                ever_b = _evergreen_items(base["assignments"], base["labels"], base["ids"])
-                ever_r = _evergreen_items(run["assignments"], run["labels"], run["ids"])
-                ever_b_common = ever_b & set(common.tolist())
+                ever_b = np.isin(a, [j for j, lab in enumerate(base.labels) if lab == "evergreen"])
+                ever_r = np.isin(b, [j for j, lab in enumerate(run.labels) if lab == "evergreen"])
                 entry["evergreen_persistence"] = (
-                    len(ever_b_common & ever_r) / len(ever_b_common)
-                    if ever_b_common
-                    else None
+                    int((ever_b & ever_r).sum()) / int(ever_b.sum()) if ever_b.any() else None
                 )
-            entry["labels"] = list(run["labels"])
+            entry["labels"] = list(run.labels)
         threshold_report["runs"][str(tau)] = entry
 
     data = dict(model.data)

@@ -19,7 +19,6 @@ from scipy.optimize import minimize
 
 from .data import CountTrajectory, TimeGrid, cumulative
 from .errors import ConfigError, DataError, NumericalError
-from .poisson import TrajectoryFit
 from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid
 
 __all__ = [
@@ -254,26 +253,30 @@ class ComparisonTable:
 
 
 def compare_models(
-    fits: Sequence[TrajectoryFit],
+    ids: Sequence[str],
+    fpca_mse: Sequence[float],
     wsb_fits: Sequence[WsbFit],
     eval_points: int = 256,
 ) -> ComparisonTable:
     """Goodness-of-fit comparison on the shared log10 MSE scale.
 
-    Both fit sequences must cover exactly the same ids; zero MSEs are
-    floored at 1e-12 before the log.  The two kernel densities share one
-    evaluation grid padded by four bandwidths past the pooled range.
+    ``ids`` and ``fpca_mse`` give each item's functional-fit MSE; the WSB
+    fits must cover exactly the same ids.  Zero MSEs are floored at 1e-12
+    before the log.  The two kernel densities share one evaluation grid
+    padded by four bandwidths past the pooled range.
     """
     by_id_w = {f.id: f for f in wsb_fits}
-    ids_f = [f.id for f in fits]
+    ids_f = list(ids)
     missing = sorted(set(ids_f) ^ set(by_id_w))
     if missing or not ids_f:
         raise DataError(
             "model comparison needs matching ids; symmetric difference: "
             f"{missing}"
         )
+    if len(fpca_mse) != len(ids_f):
+        raise DataError(f"{len(fpca_mse)} functional-fit MSEs for {len(ids_f)} ids")
     lw = np.log10(np.maximum([by_id_w[i].mse for i in ids_f], MSE_FLOOR))
-    lf = np.log10(np.maximum([f.mse for f in fits], MSE_FLOOR))
+    lf = np.log10(np.maximum(fpca_mse, MSE_FLOOR))
     pooled = np.concatenate([lw, lf])
     try:
         from .smoothing import silverman_bandwidth

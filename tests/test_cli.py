@@ -25,6 +25,15 @@ def workspace(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def small_corpus(workspace, tmp_path_factory):
+    """The first 40 items of the workspace corpus, so WSB fits stay quick."""
+    lines = (workspace / "corpus.jsonl").read_text().splitlines()[:40]
+    path = tmp_path_factory.mktemp("small") / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_run_end_to_end(workspace):
     rc = main(["run", "--input", str(workspace / "corpus.jsonl"),
                "--output-dir", str(workspace), "--seed", "2"])
@@ -120,6 +129,57 @@ def test_cluster_accepts_model_with_stored_folds(workspace, tmp_path):
     data = json.loads((tmp_path / "model.json").read_text())
     assert "3" in data["clusters"]["ward"]
     assert "folds" not in data["config"]
+
+
+def test_cluster_honours_restarts(small_corpus, tmp_path):
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus),
+                 "--output-dir", str(tmp_path), "--seed", "2"]) == EXIT_OK
+    assert main(["cluster", "--output-dir", str(tmp_path), "--seed", "2",
+                 "--restarts", "1"]) == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert data["config"]["restarts"] == 1
+    ref = run_pipeline(PipelineConfig(input=str(small_corpus), seed=2, restarts=1,
+                                      baseline=False))
+    assert data["clusters"]["kmeans"]["4"] == ref.data["clusters"]["kmeans"]["4"]
+
+
+def test_baseline_adds_its_blocks_and_keeps_the_rest(small_corpus, tmp_path):
+    common = ["--output-dir", str(tmp_path), "--seed", "2"]
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus)] + common) == EXIT_OK
+    assert main(["cluster", "--method", "ward", "--k-clusters", "3"] + common) == EXIT_OK
+    assert main(["sensitivity"] + common) == EXIT_OK
+    assert main(["baseline"] + common) == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    ref = run_pipeline(PipelineConfig(input=str(small_corpus), seed=2, baseline=True))
+    assert data["wsb"] == ref.data["wsb"]
+    assert data["comparison"] == ref.data["comparison"]
+    assert data["config"]["baseline"] is True
+    assert data["clusters"]["kmeans"]["4"] == ref.data["clusters"]["kmeans"]["4"]
+    assert "3" in data["clusters"]["ward"]
+    assert data["robustness"] is not None and data["thresholds"] is not None
+
+
+def test_stage_commands_run_no_other_fits(small_corpus, tmp_path, monkeypatch):
+    from citetraj import cli, poisson, wsb
+
+    with_wsb, without_wsb = tmp_path / "with", tmp_path / "without"
+    for out, extra in ((with_wsb, []), (without_wsb, ["--no-baseline"])):
+        assert main(["fit", "--input", str(small_corpus), "--output-dir", str(out),
+                     "--seed", "2"] + extra) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage command re-ran a fit")
+
+    fit_wsb_corpus = wsb.fit_wsb_corpus
+    for module, name in ((cli, "run_pipeline"), (poisson, "fit_matrix"),
+                         (wsb, "fit_wsb_corpus")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(["cluster", "--output-dir", str(with_wsb), "--method", "ward",
+                 "--k-clusters", "3"]) == EXIT_OK
+    monkeypatch.setattr(wsb, "fit_wsb_corpus", fit_wsb_corpus)
+    assert main(["baseline", "--output-dir", str(without_wsb)]) == EXIT_OK
+    data = json.loads((without_wsb / "model.json").read_text())
+    assert data["wsb"] is not None and data["comparison"] is not None
 
 
 class TestConfigFile:

@@ -63,6 +63,14 @@ class TestParse:
         with pytest.raises(DataError, match="line 2"):
             parse_corpus(b'{"id": "a", "counts": [1,2]}\nnot json\n', "jsonl")
 
+    def test_jsonl_raw_line_separators_inside_strings(self):
+        # Hand-written JSONL may hold U+2028 and U+0085 raw inside a string;
+        # only "\n" ends a record, and a CRLF line reads like an LF one.
+        raw = '{"id": "a\u2028b", "counts": [1, 2]}\r\n{"id": "c\x85d", "counts": [3, 4]}\n'
+        corpus = parse_corpus(raw.encode("utf-8"), "jsonl")
+        assert corpus.ids == ["a\u2028b", "c\x85d"]
+        assert corpus.items[1].counts == (3, 4)
+
     def test_jsonl_float_count_rejected(self):
         with pytest.raises(DataError, match="not an integer"):
             parse_corpus(b'{"id": "a", "counts": [1.5, 2]}', "jsonl")

@@ -209,6 +209,23 @@ class TestSensitivity:
             model.cluster_entry("kmeans", 4)["within_ss"]
         )
 
+    @pytest.mark.parametrize("seed, n, method, k, standardize", [
+        (2, 300, "kmeans", 4, True),
+        (5, 250, "kmedoids", 2, False),
+    ])
+    def test_sweep_cell_labels_match_pipeline_clustering(self, seed, n, method, k,
+                                                          standardize):
+        # Both label the raw-score centroids: standardized k-means centroids
+        # and k-medoids medoids are not read as raw scores.
+        corpus, _ = synthgen.simulate_corpus(synthgen.default_spec(n, seed=seed))
+        model = run_pipeline(PipelineConfig(seed=seed, method=method, k_clusters=k,
+                                            standardize=standardize, baseline=False),
+                             corpus=corpus)
+        swept = sensitivity(model, thresholds=(0,), k_values=(k,), methods=(method,))
+        cell = swept.data["robustness"]["cells"][method][str(k)]
+        assert cell["labels"] == model.cluster_entry()["labels"]
+        assert cell["labels"] == swept.data["thresholds"]["runs"]["0"]["labels"]
+
     def test_requires_nonempty_basis(self, corpus_path):
         cfg = PipelineConfig(input=corpus_path, seed=8, k_basis=0, baseline=False)
         model0 = run_pipeline(cfg)

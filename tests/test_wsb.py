@@ -187,7 +187,7 @@ class TestCompare:
             )
             for f in fits
         ]
-        table = compare_models(fits, wsb_fits)
+        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
         assert table.log10_mse_wsb == pytest.approx(table.log10_mse_fpca)
 
     def test_mse_floor_applied(self, planted):
@@ -200,7 +200,7 @@ class TestCompare:
                    mse=0.0, converged=True, objective=0.0)
             for f in fits
         ]
-        table = compare_models(fits, wsb_fits)
+        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
         assert table.log10_mse_wsb.tolist() == pytest.approx([-12.0] * 3)
 
     def test_id_mismatch_lists_difference(self, planted):
@@ -213,17 +213,23 @@ class TestCompare:
                    mse=1.0, converged=True, objective=0.0)
         ]
         with pytest.raises(DataError, match="stranger"):
-            compare_models(fits, wsb_fits)
+            compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+
+    def test_mse_count_must_match_ids(self, planted):
+        fits = planted["fits"][:3]
+        wsb_fits = fit_wsb_corpus(planted["corpus"].items[:3], m=30.0)
+        with pytest.raises(DataError, match="2 functional-fit MSEs for 3 ids"):
+            compare_models([f.id for f in fits], [f.mse for f in fits[:2]], wsb_fits)
 
     def test_empty_intersection(self):
         with pytest.raises(DataError):
-            compare_models([], [])
+            compare_models([], [], [])
 
     def test_kde_curves_integrate_to_one(self, planted):
         items = planted["corpus"].items[:120]
         fits = planted["fits"][:120]
         wsb_fits = fit_wsb_corpus(items, m=30.0)
-        table = compare_models(fits, wsb_fits)
+        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
         for kde in (table.kde_wsb, table.kde_fpca):
             assert 0.98 <= kde.integral() <= 1.0
 
@@ -231,5 +237,5 @@ class TestCompare:
         items = planted["corpus"].items[:120]
         fits = planted["fits"][:120]
         wsb_fits = fit_wsb_corpus(items, m=30.0)
-        table = compare_models(fits, wsb_fits)
+        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
         assert table.median_log10_mse_fpca <= table.median_log10_mse_wsb
