@@ -7,7 +7,10 @@ JSON at <output-dir>/model.json: ``fit`` and ``run`` write it, and
 the stored corpus, scores and fits and update their own blocks in place,
 without recomputing the rest.  Options resolve as flags > config file >
 defaults; the config file is flat ``key = value`` lines using the long flag
-names with dashes or underscores.
+names with dashes or underscores.  A stage command runs with the model's
+stored config, overridden only by its own fields that the user typed or
+the config file sets; ``baseline`` and ``cluster`` store those overrides
+with the blocks they recompute, and ``sensitivity`` stores none.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  Diagnostics go to stderr.
@@ -112,7 +115,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-grid", type=int, default=None,
                    help="evaluation points for density curves (default 256)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for the WSB baseline (default 1)")
+                   help="threads over WSB row chunks (default 1)")
     p.add_argument("--restarts", type=int, default=None, help="k-means restarts (default 10)")
     p.add_argument("--no-baseline", action="store_true", default=False,
                    help="skip the WSB baseline stage")
@@ -157,26 +160,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> PipelineConfig:
+def _given_options(args: argparse.Namespace) -> dict:
+    """Config fields the user set: typed flags over config-file keys."""
     file_opts = read_config_file(args.config) if args.config else {}
-    merged = {}
+    given = {k: v for k, v in file_opts.items() if v is not None and k != "baseline"}
     for f in dc_fields(PipelineConfig):
-        if f.name == "baseline":
-            continue
         cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            merged[f.name] = cli_val
-        elif f.name in file_opts and file_opts[f.name] is not None:
-            merged[f.name] = file_opts[f.name]
+        if f.name != "baseline" and cli_val is not None:
+            given[f.name] = cli_val
     if args.no_baseline:
-        merged["baseline"] = False
+        given["baseline"] = False
     elif "baseline" in file_opts:
-        merged["baseline"] = bool(file_opts["baseline"])
-    merged.setdefault("output_dir", "out")
+        given["baseline"] = bool(file_opts["baseline"])
+    return given
+
+
+def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     try:
-        return PipelineConfig(**merged)
+        return PipelineConfig(**{"output_dir": "out", **_given_options(args)})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# The stored config fields that each stage command reads.  ``baseline`` and
+# ``cluster`` store the values the user changed, since they recompute the
+# blocks that depend on them; ``sensitivity`` only runs with them.  Item
+# labels depend on ``evergreen_tol`` and only ``fit`` and ``run`` compute
+# them, so ``cluster`` leaves that field as stored.
+_BASELINE_FIELDS = ("m_wsb", "eval_grid")
+_CLUSTER_FIELDS = ("method", "k_clusters", "seed", "restarts", "standardize")
+_SENSITIVITY_FIELDS = _CLUSTER_FIELDS + ("evergreen_tol",)
+
+
+def _stage_config(model: ModelFile, args, fields: tuple[str, ...],
+                  config: PipelineConfig) -> tuple[PipelineConfig, dict]:
+    """The model's stored config with ``fields`` replaced where the user
+    typed the flag or the config file sets the key, and the replaced fields
+    whose value differs from the stored one.  ``jobs`` is never stored and
+    comes from ``config``.  The model is not changed."""
+    stored = model.data["config"]
+    given = _given_options(args)
+    changed = {k: given[k] for k in fields if k in given and given[k] != stored[k]}
+    return PipelineConfig(**{**stored, **changed, "jobs": config.jobs}), changed
 
 
 def _model_path(config: PipelineConfig) -> str:
@@ -240,11 +265,11 @@ def _cmd_fit(args, config: PipelineConfig) -> int:
 def _cmd_baseline(args, config: PipelineConfig) -> int:
     model = _load_for_stage(config, "baseline")
     data = model.data
-    if data["config"]["baseline"] and data.get("wsb"):
+    cfg, changed = _stage_config(model, args, _BASELINE_FIELDS, config)
+    if data["config"]["baseline"] and data.get("wsb") and not changed:
         print("model already has the baseline stage; nothing to do")
         return EXIT_OK
-    data["config"]["baseline"] = True
-    cfg = PipelineConfig(**{**data["config"], "jobs": config.jobs})
+    data["config"].update(changed, baseline=True)
     data["wsb"], data["comparison"] = pipeline.baseline_stage(
         model.corpus().items, data["fits"]["mse"], cfg
     )
@@ -260,14 +285,11 @@ def _cmd_baseline(args, config: PipelineConfig) -> int:
 def _cmd_cluster(args, config: PipelineConfig) -> int:
     model = _load_for_stage(config, "cluster")
     data = model.data
-    data["config"].update(
-        method=config.method, k_clusters=config.k_clusters, seed=config.seed,
-        standardize=config.standardize, restarts=config.restarts,
-    )
-    cfg = PipelineConfig(**data["config"])
+    cfg, changed = _stage_config(model, args, _CLUSTER_FIELDS, config)
     entry, refusal = pipeline.cluster_stage(model.scores(), model.basis(), cfg)
     if refusal:
         raise ConfigError(refusal)
+    data["config"].update(changed)
     data["clusters"].setdefault(cfg.method, {})[str(cfg.k_clusters)] = entry
     data["cluster_refusal"] = None
     save_model(model, _model_path(config))
@@ -307,7 +329,8 @@ def _cmd_sensitivity(args, config: PipelineConfig) -> int:
         raise ConfigError("need at least one threshold")
     k_values = _k_range(args.k_range)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    new_model = pipeline.sensitivity(model, thresholds, k_values, methods)
+    cfg, _ = _stage_config(model, args, _SENSITIVITY_FIELDS, config)
+    new_model = pipeline.sensitivity(model, thresholds, k_values, methods, cfg)
     save_model(new_model, _model_path(config))
     import json as _json
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
@@ -56,7 +57,7 @@ class PipelineConfig:
     m_wsb: float = 30.0
     standardize: bool = False
     eval_grid: int = 256
-    jobs: int = 1  # worker threads for the WSB baseline fits only
+    jobs: int = 1  # threads over WSB row chunks
     baseline: bool = True
     select_k_max: int = 6
     bandwidth: float | None = None
@@ -136,7 +137,10 @@ class ModelFile:
 
 
 def _canonical_bytes(data: dict) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # Strict JSON: non-finite floats are stored as null (see ``_floats``).
+    return json.dumps(
+        data, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def _checksum(data: dict) -> str:
@@ -199,7 +203,8 @@ def _now() -> str:
 
 
 def _floats(arr) -> list:
-    return [float(x) for x in arr]
+    """JSON-ready floats; non-finite values become None (null)."""
+    return [v if math.isfinite(v) else None for v in map(float, arr)]
 
 
 def _stage(name: str):
@@ -234,13 +239,12 @@ def baseline_stage(items: Sequence[CountTrajectory], fpca_mse: Sequence[float],
     wsb_fits = wsb.fit_wsb_corpus(items, m=config.m_wsb, jobs=config.jobs)
     wsb_block = {
         "m": float(config.m_wsb),
-        "lam": [float(f.params.lam) for f in wsb_fits],
-        "mu": [float(f.params.mu) for f in wsb_fits],
-        "sigma": [float(f.params.sigma) for f in wsb_fits],
-        "mse": [float(f.mse) for f in wsb_fits],
+        "lam": _floats(f.params.lam for f in wsb_fits),
+        "mu": _floats(f.params.mu for f in wsb_fits),
+        "sigma": _floats(f.params.sigma for f in wsb_fits),
+        "mse": _floats(f.mse for f in wsb_fits),
         "converged": [bool(f.converged) for f in wsb_fits],
-        "objective": [float(f.objective) if np.isfinite(f.objective) else None
-                      for f in wsb_fits],
+        "objective": _floats(f.objective for f in wsb_fits),
     }
     table = wsb.compare_models(
         [it.id for it in items], fpca_mse, wsb_fits, eval_points=config.eval_grid
@@ -389,8 +393,8 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         "selection": selection,
         "fits": {
             "scores": [_floats(f.scores) for f in fits],
-            "loglik": [float(f.loglik) for f in fits],
-            "mse": [float(f.mse) for f in fits],
+            "loglik": _floats(f.loglik for f in fits),
+            "mse": _floats(f.mse for f in fits),
             "iterations": [int(f.iterations) for f in fits],
             "converged": [bool(f.converged) for f in fits],
             "ridged": [bool(f.ridged) for f in fits],
@@ -413,6 +417,7 @@ def sensitivity(
     thresholds: Sequence[int] = (0, 10),
     k_values: Sequence[int] = (2, 3, 4, 5, 6),
     methods: Sequence[str] = clus.METHODS,
+    config: PipelineConfig | None = None,
 ) -> ModelFile:
     """Robustness sweeps on an already-fit model; returns an updated copy.
 
@@ -420,9 +425,10 @@ def sensitivity(
     citation-floor sweep reclusters the items whose totals reach each
     threshold and reports the adjusted Rand index against the first
     threshold's run on the common items, plus persistence of evergreen
-    cluster membership.
+    cluster membership.  The sweeps use ``config`` (default: the model's
+    stored config) and leave the stored config as it is.
     """
-    cfg = PipelineConfig(**model.data["config"])
+    cfg = config or PipelineConfig(**model.data["config"])
     basis = model.basis()
     if basis.k < 1:
         raise ConfigError("sensitivity needs a model with a nonempty basis")

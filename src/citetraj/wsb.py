@@ -5,26 +5,29 @@ combining a fitness factor with lognormal aging; m is a fixed global
 constant.  Parameters are fit per item by least squares on the cumulative
 curve (stable and standard for this model), while the reported MSE is
 computed on annual counts so comparisons against the functional Poisson
-model share one error scale.
+model share one error scale.  The least-squares fits run as one vectorized
+Levenberg-Marquardt over every item's start points, with the analytic
+Jacobian and steps projected onto the parameter box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .data import CountTrajectory, TimeGrid, cumulative
+from .data import CountTrajectory, TimeGrid
 from .errors import ConfigError, DataError, NumericalError
+from .poisson import _CHUNK
 from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid
 
 __all__ = [
     "WsbParams",
     "WsbFit",
-    "WsbFitOptions",
+    "MinimizeResult",
+    "minimize",
     "normal_cdf",
     "wsb_cumulative",
     "wsb_annual",
@@ -39,11 +42,25 @@ __all__ = [
 LAM_BOUNDS = (0.0, 20.0)
 MU_BOUNDS = (-2.0, 5.0)
 SIGMA_BOUNDS = (0.05, 5.0)
+_LOWER = np.array([LAM_BOUNDS[0], MU_BOUNDS[0], SIGMA_BOUNDS[0]])
+_UPPER = np.array([LAM_BOUNDS[1], MU_BOUNDS[1], SIGMA_BOUNDS[1]])
+
+# Levenberg-Marquardt: step cap; initial and least damping (the floor keeps
+# the scaled normal equations well conditioned when two Jacobian columns are
+# nearly parallel); the relative step and relative objective-decrease
+# tolerances that mark a row converged.
+_MAX_ITER = 200
+_DAMPING0 = 1e-3
+_DAMPING_MIN = 1e-10
+_XTOL = 1e-10
+_FTOL = 1e-15
 
 # Zero-error fits are floored here before taking log10 for density plots.
 MSE_FLOOR = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -77,13 +94,6 @@ class WsbFit:
     diagnostics: str = ""
 
 
-@dataclass(frozen=True)
-class WsbFitOptions:
-    maxiter: int = 600
-    xatol: float = 1e-6
-    fatol: float = 1e-8
-
-
 def normal_cdf(x):
     """Standard normal CDF via erf; exact to double precision.
 
@@ -112,10 +122,33 @@ def wsb_annual(p: WsbParams, grid: TimeGrid) -> np.ndarray:
     return np.diff(c, prepend=0.0)
 
 
-def _objective(theta: np.ndarray, log_t: np.ndarray, c_obs: np.ndarray, m: float) -> float:
-    lam, mu, sigma = theta
-    fitted = m * np.expm1(lam * normal_cdf((log_t - mu) / sigma))
-    return float(np.sum((c_obs - fitted) ** 2))
+def _curve(theta: np.ndarray, log_t: np.ndarray):
+    """Per-row (lam, sigma, z, Phi(z)) for rows theta = (lam, mu, sigma),
+    as (r, 1) columns and (r, T) matrices."""
+    lam, mu, sigma = (theta[:, j, None] for j in range(3))
+    z = (log_t[None, :] - mu) / sigma
+    return lam, sigma, z, normal_cdf(z)
+
+
+def _objective(theta: np.ndarray, log_t: np.ndarray, c_obs: np.ndarray, m: float) -> np.ndarray:
+    """Row-wise least-squares objective sum_t (c_obs - C(t))^2 for rows
+    theta (r, 3) against observed cumulative counts c_obs (r, T)."""
+    lam, _, _, cdf = _curve(theta, log_t)
+    res = m * np.expm1(lam * cdf) - c_obs
+    return np.einsum("rt,rt->r", res, res)
+
+
+def _residual_jacobian(theta, log_t, c_obs, m):
+    """Residuals C - c_obs (r, T) and their Jacobian (r, 3, T) in (lam, mu, sigma).
+
+    With e = exp(lam * Phi(z)): dC/dlam = m e Phi(z),
+    dC/dmu = -m e lam phi(z) / sigma and dC/dsigma = z * dC/dmu.
+    """
+    lam, sigma, z, cdf = _curve(theta, log_t)
+    me = m * np.exp(lam * cdf)
+    d_mu = -me * lam * _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sigma
+    res = m * np.expm1(lam * cdf) - c_obs
+    return res, np.stack([me * cdf, d_mu, d_mu * z], axis=1)
 
 
 def _multistart_points(total: int, m: float) -> list[np.ndarray]:
@@ -127,104 +160,195 @@ def _multistart_points(total: int, m: float) -> list[np.ndarray]:
     ]
 
 
-def fit_wsb(
-    traj: CountTrajectory,
-    m: float = 30.0,
-    options: WsbFitOptions | None = None,
-) -> WsbFit:
-    """Least-squares WSB fit on the cumulative curve, best of 4 multistarts.
+def _projected_step(x, jtj, grad, damping):
+    """Marquardt step solving (J'J + d diag(J'J)) s = -J'r row by row.
 
-    Start points pair mu in {ln 2, ln 8} with sigma in {0.5, 1.5}; lam starts
-    at ln(1 + total/m) each time.  Nelder-Mead with box clamping; starts
-    with a non-finite objective are dropped, and if every start drops the
-    fit is returned unconverged with diagnostics.
+    The system is solved in the coordinates scaled by diag(J'J), where its
+    matrix has a unit diagonal plus d.  A coordinate whose Jacobian column
+    vanishes, or one on its box bound whose step points out of the box, is
+    held for this step and the free coordinates are solved for alone, so
+    the clip that follows cannot bend the free part of the step.
     """
-    if traj.total < 1:
-        raise DataError(f"item {traj.id!r} has no events; WSB fit needs total >= 1")
-    if m <= 0:
-        raise ConfigError(f"m must be positive, got {m}")
-    opts = options or WsbFitOptions()
-    grid = TimeGrid(len(traj.counts))
-    y = np.asarray(traj.counts, dtype=float)
-    c_obs = cumulative(traj).astype(float)
-    log_t = np.log(grid.points)
-    bounds = [LAM_BOUNDS, MU_BOUNDS, SIGMA_BOUNDS]
+    diag = np.einsum("rii->ri", jtj)
+    held = diag < _TINY
+    scale = np.sqrt(np.where(held, 1.0, diag))
+    lhs = jtj / (scale[:, :, None] * scale[:, None, :]) + damping[:, None, None] * np.eye(3)
+    rhs = -grad / scale
 
-    best = None
-    dropped = 0
-    for x0 in _multistart_points(traj.total, m):
-        f0 = _objective(x0, log_t, c_obs, m)
-        if not math.isfinite(f0):
-            dropped += 1
-            continue
-        res = minimize(
-            _objective,
-            x0,
-            args=(log_t, c_obs, m),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": opts.maxiter, "xatol": opts.xatol, "fatol": opts.fatol},
+    def solve(held):
+        free = ~held
+        sub = lhs * free[:, :, None] * free[:, None, :] + np.eye(3) * held[:, :, None]
+        return np.linalg.solve(sub, (rhs * free)[:, :, None])[:, :, 0] / scale
+
+    step = solve(held)
+    held |= ((x <= _LOWER) & (step < 0)) | ((x >= _UPPER) & (step > 0))
+    return solve(held)
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Per-row outcome of :func:`minimize`: parameters ``x`` (r, 3),
+    objective ``fun``, steps tried ``nit`` and ``success`` (r,); ``nfev``
+    counts row evaluations of the objective over the whole batch."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nit: np.ndarray
+    success: np.ndarray
+    nfev: int
+
+
+def minimize(theta0, log_t, c_obs, m: float) -> MinimizeResult:
+    """Least-squares WSB fit of every row by box-projected Levenberg-Marquardt.
+
+    Row i starts at ``theta0[i]`` = (lam, mu, sigma), clipped to the box, and
+    fits observed cumulative counts ``c_obs[i]`` at log times ``log_t``.
+    Each iteration takes the Marquardt step (J'J + d diag(J'J)) s = -J'r
+    from the analytic Jacobian, with coordinates on a bound held when the
+    step points out of the box (see :func:`_projected_step`), then clips.
+    A row accepts the step only if the objective stays finite and does not
+    rise, dividing its damping d by 3; otherwise d grows tenfold.  A row
+    converges, and is frozen, when the clipped step is below ``_XTOL``
+    relative or an accepted step lowers the objective by at most ``_FTOL``
+    relative; rows still moving after ``_MAX_ITER`` steps are unconverged.
+    Every reduction is per row, so a row's result does not depend on the
+    other rows of its batch.
+    """
+    x = np.clip(np.asarray(theta0, dtype=float), _LOWER, _UPPER)
+    c_obs = np.asarray(c_obs, dtype=float)
+    rows = len(x)
+    f = _objective(x, log_t, c_obs, m)
+    nfev = rows
+    damping = np.full(rows, _DAMPING0)
+    nit = np.zeros(rows, dtype=int)
+    success = np.zeros(rows, dtype=bool)
+    active = np.isfinite(f)
+    for _ in range(_MAX_ITER):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        xa, fa, ca = x[idx], f[idx], c_obs[idx]
+        res, jac = _residual_jacobian(xa, log_t, ca, m)
+        step = _projected_step(
+            xa,
+            np.einsum("rit,rjt->rij", jac, jac),
+            np.einsum("rit,rt->ri", jac, res),
+            damping[idx],
         )
-        if not math.isfinite(res.fun):
-            dropped += 1
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        params = WsbParams(lam=0.0, mu=math.log(2.0), sigma=1.0, m=m)
-        return WsbFit(
-            id=traj.id,
-            params=params,
-            cumulative_fitted=wsb_cumulative(grid.points, params),
-            annual_fitted=wsb_annual(params, grid),
-            mse=float(np.mean((y - wsb_annual(params, grid)) ** 2)),
-            converged=False,
-            objective=math.inf,
-            diagnostics=f"all {dropped} starts dropped (non-finite objective)",
+        trial = np.clip(xa + step, _LOWER, _UPPER)
+        ft = _objective(trial, log_t, ca, m)
+        nfev += idx.size
+        nit[idx] += 1
+        accept = np.isfinite(ft) & (ft <= fa)
+        moved = np.abs(trial - xa).max(axis=1)
+        done = (moved <= _XTOL * (1.0 + np.abs(xa).max(axis=1))) | (
+            accept & (fa - ft <= _FTOL * fa)
         )
-    lam, mu, sigma = (float(v) for v in best.x)
-    params = WsbParams(lam=lam, mu=mu, sigma=sigma, m=m)
-    fitted_c = wsb_cumulative(grid.points, params)
-    fitted_a = wsb_annual(params, grid)
+        x[idx[accept]] = trial[accept]
+        f[idx[accept]] = ft[accept]
+        damping[idx] = np.where(
+            accept, np.maximum(damping[idx] / 3.0, _DAMPING_MIN), damping[idx] * 10.0
+        )
+        success[idx[done]] = True
+        active[idx[done]] = False
+    return MinimizeResult(x=x, fun=f, nit=nit, success=success, nfev=int(nfev))
+
+
+def _placeholder(traj: CountTrajectory, m: float) -> WsbFit:
+    params = WsbParams(lam=0.0, mu=math.log(2.0), sigma=1.0, m=m)
+    grid = TimeGrid(len(traj.counts))
     return WsbFit(
-        id=traj.id,
-        params=params,
-        cumulative_fitted=fitted_c,
-        annual_fitted=fitted_a,
-        mse=float(np.mean((y - fitted_a) ** 2)),
-        converged=bool(best.success),
-        objective=float(best.fun),
-        diagnostics=f"{dropped} starts dropped" if dropped else "",
+        id=traj.id, params=params,
+        cumulative_fitted=wsb_cumulative(grid.points, params),
+        annual_fitted=wsb_annual(params, grid),
+        mse=0.0, converged=False, objective=math.inf,
+        diagnostics="all-zero trajectory",
     )
+
+
+def _fit_chunk(items: Sequence[CountTrajectory], m: float) -> list[WsbFit]:
+    """Best-of-4-starts fits of items that share one grid length."""
+    grid = TimeGrid(len(items[0].counts))
+    y = np.asarray([it.counts for it in items], dtype=float)
+    starts = np.asarray([_multistart_points(it.total, m) for it in items])
+    n_starts = starts.shape[1]
+    result = minimize(
+        starts.reshape(-1, 3), np.log(grid.points),
+        np.repeat(np.cumsum(y, axis=1), n_starts, axis=0), m,
+    )
+    # argmin keeps the first start on ties.
+    best = np.arange(len(items)) * n_starts + np.argmin(
+        result.fun.reshape(-1, n_starts), axis=1
+    )
+    out = []
+    for item, counts, row in zip(items, y, best):
+        lam, mu, sigma = (float(v) for v in result.x[row])
+        params = WsbParams(lam=lam, mu=mu, sigma=sigma, m=m)
+        fitted_c = wsb_cumulative(grid.points, params)
+        fitted_a = np.diff(fitted_c, prepend=0.0)
+        out.append(WsbFit(
+            id=item.id,
+            params=params,
+            cumulative_fitted=fitted_c,
+            annual_fitted=fitted_a,
+            mse=float(np.mean((counts - fitted_a) ** 2)),
+            converged=bool(result.success[row]),
+            objective=float(result.fun[row]),
+        ))
+    return out
 
 
 def fit_wsb_corpus(
     items: Sequence[CountTrajectory],
     m: float = 30.0,
-    options: WsbFitOptions | None = None,
     jobs: int = 1,
 ) -> list[WsbFit]:
-    """Per-item WSB fits in input order; items with zero totals are fit as
-    unconverged placeholders rather than aborting the batch."""
+    """Least-squares WSB fits on the cumulative curve, in input order.
+
+    Each item is fit from 4 starts, pairing mu in {ln 2, ln 8} with sigma in
+    {0.5, 1.5}, with lam at ln(1 + total/m); the start with the lowest
+    objective wins.  All starts of up to ``poisson._CHUNK`` items of one
+    length are fit together by :func:`minimize`, and ``jobs`` threads map
+    over these chunks; a fit does not depend on its chunk.  Items with zero
+    totals come back as unconverged placeholders rather than aborting the
+    batch.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
-    def one(traj: CountTrajectory) -> WsbFit:
+    if m <= 0:
+        raise ConfigError(f"m must be positive, got {m}")
+    fits: list[WsbFit | None] = [None] * len(items)
+    by_length: dict[int, list[int]] = {}
+    for i, traj in enumerate(items):
         if traj.total < 1:
-            params = WsbParams(lam=0.0, mu=math.log(2.0), sigma=1.0, m=m)
-            grid = TimeGrid(len(traj.counts))
-            return WsbFit(
-                id=traj.id, params=params,
-                cumulative_fitted=wsb_cumulative(grid.points, params),
-                annual_fitted=wsb_annual(params, grid),
-                mse=0.0, converged=False, objective=math.inf,
-                diagnostics="all-zero trajectory",
-            )
-        return fit_wsb(traj, m=m, options=options)
+            fits[i] = _placeholder(traj, m)
+        else:
+            by_length.setdefault(len(traj.counts), []).append(i)
+    chunks = [
+        idx[lo:lo + _CHUNK] for idx in by_length.values() for lo in range(0, len(idx), _CHUNK)
+    ]
 
-    if jobs > 1 and len(items) > 1:
+    def run(chunk: list[int]) -> list[WsbFit]:
+        return _fit_chunk([items[i] for i in chunk], m)
+
+    if jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, items))
-    return [one(it) for it in items]
+            results = list(pool.map(run, chunks))
+    else:
+        results = [run(chunk) for chunk in chunks]
+    for chunk, chunk_fits in zip(chunks, results):
+        for i, fit in zip(chunk, chunk_fits):
+            fits[i] = fit
+    return fits
+
+
+def fit_wsb(traj: CountTrajectory, m: float = 30.0) -> WsbFit:
+    """Least-squares WSB fit of one item: the one-item view of
+    :func:`fit_wsb_corpus` (box-projected Levenberg-Marquardt, best of 4
+    starts).  An item with no events is rejected."""
+    if traj.total < 1:
+        raise DataError(f"item {traj.id!r} has no events; WSB fit needs total >= 1")
+    return fit_wsb_corpus([traj], m=m)[0]
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,30 @@ def test_cluster_honours_restarts(small_corpus, tmp_path):
     assert data["clusters"]["kmeans"]["4"] == ref.data["clusters"]["kmeans"]["4"]
 
 
+def test_stage_commands_keep_stored_config_unless_typed(small_corpus, tmp_path):
+    out = ["--output-dir", str(tmp_path)]
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus), "--seed", "2",
+                 "--restarts", "5"] + out) == EXIT_OK
+    fitted = json.loads((tmp_path / "model.json").read_text())
+    assert main(["cluster"] + out) == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert (data["config"]["seed"], data["config"]["restarts"]) == (2, 5)
+    assert data["clusters"] == fitted["clusters"]
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("evergreen-tol = 0.2\n")
+    assert main(["sensitivity", "--seed", "4", "--k-clusters", "3", "--config", str(conf),
+                 "--k-range", "2:3"] + out) == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert data["robustness"]["seed"] == 4
+    assert data["thresholds"]["k"] == 3
+    assert data["config"] == fitted["config"]
+    assert main(["label"] + out) == EXIT_OK
+    assert main(["baseline"] + out) == EXIT_OK
+    assert main(["baseline", "--m-wsb", "25"] + out) == EXIT_OK
+    data = json.loads((tmp_path / "model.json").read_text())
+    assert data["config"]["m_wsb"] == data["wsb"]["m"] == 25.0
+
+
 def test_baseline_adds_its_blocks_and_keeps_the_rest(small_corpus, tmp_path):
     common = ["--output-dir", str(tmp_path), "--seed", "2"]
     assert main(["fit", "--no-baseline", "--input", str(small_corpus)] + common) == EXIT_OK

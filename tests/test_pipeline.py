@@ -117,6 +117,28 @@ class TestDeterminism:
 
 
 class TestPersistence:
+    def test_non_finite_values_are_strict_json_null(self, corpus_path, tmp_path, monkeypatch):
+        import dataclasses
+
+        from citetraj import poisson
+
+        fit_corpus = poisson.fit_corpus
+
+        def diverged_first(*args, **kwargs):
+            fits = fit_corpus(*args, **kwargs)
+            return [dataclasses.replace(fits[0], loglik=float("-inf"))] + fits[1:]
+
+        monkeypatch.setattr(poisson, "fit_corpus", diverged_first)
+        path = tmp_path / "model.json"
+        save_model(run_pipeline(PipelineConfig(input=corpus_path, seed=8, baseline=False)), path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        data = json.loads(path.read_text(), parse_constant=reject)
+        assert data["fits"]["loglik"][0] is None
+        assert load_model(path).data["fits"]["loglik"][0] is None
+
     def test_save_load_save_identical_bytes(self, model, tmp_path):
         p1 = tmp_path / "m1.json"
         p2 = tmp_path / "m2.json"

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citetraj import synthgen
 from citetraj.data import CountTrajectory, TimeGrid
 from citetraj.errors import ConfigError, DataError
 from citetraj.wsb import (
+    LAM_BOUNDS,
+    MU_BOUNDS,
+    SIGMA_BOUNDS,
     WsbParams,
     compare_models,
     fit_wsb,
@@ -139,7 +143,7 @@ class TestFit:
         log_t = np.log(TimeGrid(30).points)
         c_obs = np.cumsum(counts).astype(float)
         for x0 in _multistart_points(1, 30.0):
-            assert fit.objective <= _objective(x0, log_t, c_obs, 30.0) + 1e-9
+            assert fit.objective <= _objective(x0[None], log_t, c_obs[None], 30.0)[0] + 1e-9
 
     def test_generating_m_beats_alternative(self):
         item, truth, _ = self.make_item(1.0, 0.8, 0.6, m=30.0)
@@ -168,6 +172,92 @@ class TestFit:
         f2 = fit_wsb(item, m=30.0)
         assert f1.params == f2.params
         assert f1.objective == f2.objective
+
+
+def nelder_mead_objective(traj, m=30.0):
+    """Best-of-starts scipy Nelder-Mead objective: the reference optimizer."""
+    from scipy.optimize import minimize
+
+    from citetraj.wsb import _multistart_points, _objective
+
+    log_t = np.log(TimeGrid(len(traj.counts)).points)
+    c_obs = np.cumsum(traj.counts).astype(float)[None]
+
+    def objective(theta):
+        return float(_objective(theta[None], log_t, c_obs, m)[0])
+
+    return min(
+        minimize(objective, x0, method="Nelder-Mead",
+                 bounds=[LAM_BOUNDS, MU_BOUNDS, SIGMA_BOUNDS],
+                 options={"maxiter": 600, "xatol": 1e-6, "fatol": 1e-8}).fun
+        for x0 in _multistart_points(traj.total, m)
+    )
+
+
+def not_worse(f, f_reference):
+    return f <= f_reference * (1 + 1e-9) + 1e-9
+
+
+class TestAgainstNelderMead:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_objective_never_worse(self, seed):
+        corpus, _ = synthgen.simulate_corpus(synthgen.default_spec(200, seed))
+        items = [it for it in corpus.items if it.total >= 1]
+        fits = fit_wsb_corpus(items, m=30.0)
+        worse = [(it.id, fit.objective, ref) for it, fit in zip(items, fits)
+                 if not not_worse(fit.objective, ref := nelder_mead_objective(it))]
+        assert worse == []
+
+    def test_lam_pinned_at_upper_bound(self):
+        # A rising item whose best fit wants lam beyond the box: only the
+        # free coordinates (mu, sigma) may move while lam sits on its bound.
+        item = synthgen.simulate_corpus(synthgen.default_spec(200, 1))[0].items[58]
+        fit = fit_wsb(item, m=30.0)
+        assert fit.params.lam == LAM_BOUNDS[1]
+        assert fit.converged
+        assert not_worse(fit.objective, nelder_mead_objective(item))
+
+
+class TestBatch:
+    def test_corpus_equals_single_item_and_threaded_fits(self):
+        items = synthgen.simulate_corpus(synthgen.default_spec(300, 4))[0].items
+        batched = fit_wsb_corpus(items, m=30.0)
+        threaded = fit_wsb_corpus(items, m=30.0, jobs=2)
+        for item, a, b in zip(items, batched, threaded):
+            single = fit_wsb(item, m=30.0)
+            for other in (b, single):
+                assert other.params == a.params
+                assert other.objective == a.objective
+                assert other.converged == a.converged
+                assert other.mse == a.mse
+                assert np.array_equal(other.annual_fitted, a.annual_fitted)
+
+    def test_mixed_lengths_keep_input_order(self):
+        items = [
+            CountTrajectory("long", (3, 5, 4, 2, 1, 1, 0, 0, 0, 0)),
+            CountTrajectory("short", (2, 4, 3, 1, 0, 0)),
+            CountTrajectory("zero", (0,) * 6),
+        ]
+        fits = fit_wsb_corpus(items, m=30.0)
+        assert [f.id for f in fits] == ["long", "short", "zero"]
+        assert [len(f.annual_fitted) for f in fits] == [10, 6, 6]
+        assert fits[1].objective == fit_wsb(items[1], m=30.0).objective
+
+
+def test_import_does_not_load_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import citetraj
+
+    src = os.path.dirname(os.path.dirname(citetraj.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, citetraj.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestCompare:
