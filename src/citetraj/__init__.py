@@ -12,7 +12,7 @@ from .data import Corpus, CountTrajectory, TimeGrid, parse_corpus, write_corpus
 from .errors import CitetrajError, ConfigError, DataError, NumericalError
 from .fpca import LatentBasis
 from .pipeline import ModelFile, PipelineConfig, load_model, run_pipeline, save_model
-from .poisson import TrajectoryFit, fit_corpus, fit_scores
+from .poisson import TrajectoryFit, fit_corpus
 from .wsb import WsbFit, WsbParams, fit_wsb
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ __all__ = [
     "ward",
     "label_clusters",
     "classify_item",
+    "classify_items",
     "robustness_sweep",
     "adjusted_rand_index",
     "silhouette_mean",
@@ -321,14 +322,10 @@ def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, se
     return model.with_labels(label_clusters(model, basis, thresholds, centroids=raw))
 
 
-def _centroid_intensity(centroid: np.ndarray, basis: LatentBasis) -> np.ndarray:
-    eta = basis.mean + centroid @ basis.eigenfunctions
-    return np.exp(eta)
-
-
-def _is_evergreen(curve: np.ndarray, rel_tol: float) -> bool:
-    eps = rel_tol * float(curve.max())
-    return bool(np.all(np.diff(curve) >= -eps))
+def _evergreen(curves: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rows of (n, T) curves that never drop by more than rel_tol * max."""
+    eps = rel_tol * curves.max(axis=1)
+    return np.all(np.diff(curves, axis=1) >= -eps[:, None], axis=1)
 
 
 def label_clusters(
@@ -352,42 +349,40 @@ def label_clusters(
         raise ConfigError(
             f"centroid dimension {cents.shape[1]} does not match basis K={basis.k}"
         )
-    t = basis.grid.n_years
-    curves = [_centroid_intensity(c, basis) for c in cents]
-    labels: list[str | None] = [None] * len(curves)
-    normal_means: list[tuple[int, float]] = []
-    for idx, curve in enumerate(curves):
-        if _is_evergreen(curve, th.evergreen_rel_tol):
-            labels[idx] = "evergreen"
-        elif float(basis.grid.points[int(np.argmax(curve))]) > th.delayed_frac * t:
-            labels[idx] = "delayed"
-        else:
-            normal_means.append((idx, float(curve.mean())))
-    if normal_means:
-        med = float(np.median([m for _, m in normal_means]))
-        for idx, m in normal_means:
-            labels[idx] = "normal-high" if m > med else "normal-low"
-    return tuple(labels)  # type: ignore[arg-type]
+    curves = np.exp(basis.eta(cents))
+    evergreen = _evergreen(curves, th.evergreen_rel_tol)
+    peak_year = basis.grid.points[np.argmax(curves, axis=1)]
+    delayed = ~evergreen & (peak_year > th.delayed_frac * basis.grid.n_years)
+    level = curves.mean(axis=1)
+    normal = ~evergreen & ~delayed
+    med = float(np.median(level[normal])) if normal.any() else 0.0
+    return tuple(
+        "evergreen" if e else "delayed" if d else "normal-high" if m > med else "normal-low"
+        for e, d, m in zip(evergreen, delayed, level)
+    )
 
 
-def classify_item(fit: TrajectoryFit, thresholds: ShapeThresholds | None = None) -> str:
-    """Item-level taxonomy from the fitted intensity curve.
+def classify_items(intensity, thresholds: ShapeThresholds | None = None) -> list[str]:
+    """Item-level taxonomy for each row of an (n, T) fitted intensity matrix.
 
     Evergreen takes precedence, then flash-in-the-pan (early peak, endpoint
     below a fraction of the peak), then delayed document (late peak), else
     normal document.
     """
     th = thresholds or ShapeThresholds()
-    curve = np.asarray(fit.intensity, dtype=float)
-    t = len(curve)
-    if _is_evergreen(curve, th.evergreen_rel_tol):
-        return "evergreen"
-    peak_year = int(np.argmax(curve)) + 1
-    if peak_year <= th.flash_peak_frac * t and curve[-1] < th.flash_end_frac * curve.max():
-        return "flash-in-the-pan"
-    if peak_year > th.delayed_frac * t:
-        return "delayed document"
-    return "normal document"
+    curves = np.asarray(intensity, dtype=float)
+    t = curves.shape[1]
+    peak_year = np.argmax(curves, axis=1) + 1
+    early_fall = curves[:, -1] < th.flash_end_frac * curves.max(axis=1)
+    rule = np.select([_evergreen(curves, th.evergreen_rel_tol),
+                      (peak_year <= th.flash_peak_frac * t) & early_fall,
+                      peak_year > th.delayed_frac * t], [0, 1, 2], default=3)
+    return [ITEM_LABELS[r] for r in rule]
+
+
+def classify_item(fit: TrajectoryFit, thresholds: ShapeThresholds | None = None) -> str:
+    """One item's label: :func:`classify_items` on its fitted intensity."""
+    return classify_items(np.asarray(fit.intensity, dtype=float)[None, :], thresholds)[0]
 
 
 def adjusted_rand_index(a, b) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "write_corpus",
     "filter_by_total",
     "cumulative",
-    "log_transform",
     "counts_matrix",
     "log_matrix",
 ]
@@ -275,16 +274,12 @@ def cumulative(traj: CountTrajectory) -> np.ndarray:
     return np.cumsum(np.asarray(traj.counts, dtype=np.int64))
 
 
-def log_transform(traj: CountTrajectory) -> np.ndarray:
-    """Elementwise ln(count + 1); zero counts map to exactly 0."""
-    return np.log1p(np.asarray(traj.counts, dtype=float))
-
-
 def counts_matrix(corpus: Corpus) -> np.ndarray:
     """Stack all items into an (n, T) integer matrix in corpus order."""
     return np.asarray([item.counts for item in corpus.items], dtype=np.int64)
 
 
 def log_matrix(corpus: Corpus) -> np.ndarray:
-    """(n, T) matrix of ln(count + 1) values in corpus order."""
+    """(n, T) matrix of ln(count + 1) values in corpus order; zero counts
+    map to exactly 0."""
     return np.log1p(counts_matrix(corpus).astype(float))

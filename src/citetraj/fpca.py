@@ -118,6 +118,11 @@ class LatentBasis:
     def k(self) -> int:
         return int(self.eigenvalues.shape[0])
 
+    def eta(self, scores) -> np.ndarray:
+        """Linear predictor mean + scores @ phi, (n, K) -> (n, T); each row is
+        summed on its own, so it does not depend on the rows beside it."""
+        return self.mean + np.einsum("ik,kt->it", scores, self.eigenfunctions)
+
     def truncated(self, k: int) -> "LatentBasis":
         """Sub-basis keeping the first ``k`` eigenfunctions (nested)."""
         if not 0 <= k <= self.k:
@@ -256,7 +261,10 @@ class SelectionRow:
 
 @dataclass(frozen=True)
 class SelectionTable:
+    """Selection rows by K, plus each K's ``poisson.fit_matrix`` result."""
+
     rows: tuple[SelectionRow, ...]
+    fits: dict = field(repr=False, compare=False)
 
     @property
     def recommended_k(self) -> int:
@@ -280,7 +288,9 @@ def select_k_loglik(
     item's data: a held-out fit would equal this in-sample one.
     AIC = -2 * (mean log-likelihood) + 2K, recommended K = argmin AIC with
     ties resolved to the smaller K.  Items whose fit diverges are excluded
-    from the average and counted per row.
+    from the average and counted per row.  The table keeps each K's fit
+    arrays in ``fits``, so the pipeline's fit stage reuses the fit at its
+    basis size instead of fitting that K again.
     """
     from . import poisson  # local import: poisson depends on this module
 
@@ -295,15 +305,16 @@ def select_k_loglik(
         raise DataError("cannot select K on an empty corpus")
     y = np.asarray([item.counts for item in corpus.items], dtype=float)
     rows = []
+    fits = {}
     for k in ks:
-        _, loglik, _, converged, _, _ = poisson.fit_matrix(y, basis.truncated(k))
-        included = converged & np.isfinite(loglik)
+        fits[k] = fit = poisson.fit_matrix(y, basis.truncated(k))
+        included = fit.converged & np.isfinite(fit.loglik)
         n_excluded = int(len(corpus) - included.sum())
         if not included.any():
             raise NumericalError(f"every item diverged at K={k}")
-        mean_ll = float(loglik[included].mean())
+        mean_ll = float(fit.loglik[included].mean())
         rows.append(
             SelectionRow(k=k, mean_loglik=mean_ll, aic=-2.0 * mean_ll + 2.0 * k,
                          n_excluded=n_excluded)
         )
-    return SelectionTable(rows=tuple(rows))
+    return SelectionTable(rows=tuple(rows), fits=fits)

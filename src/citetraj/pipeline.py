@@ -119,12 +119,7 @@ class ModelFile:
         )
 
     def intensities(self) -> np.ndarray:
-        basis = self.basis()
-        s = self.scores()
-        eta = basis.mean[None, :] + (
-            s @ basis.eigenfunctions if basis.k else np.zeros((len(s), basis.grid.n_years))
-        )
-        return np.exp(eta)
+        return np.exp(self.basis().eta(self.scores()))
 
     def cluster_entry(self, method: str | None = None, k: int | None = None) -> dict:
         clusters = self.data.get("clusters") or {}
@@ -290,8 +285,9 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
 
     Stage order: ingest, filter, mean, covariance/eigenbasis, basis size
     selection table, per-item Poisson fits, WSB baseline plus comparison
-    (unless disabled), clustering, labels.  Stage failures surface as
-    :class:`StageError` naming the stage.
+    (unless disabled), clustering, labels.  The fit stage reuses the
+    selection's fit at the basis size, fitting anew only outside 1..k_top.
+    Stage failures surface as :class:`StageError` naming the stage.
     """
     with _stage("ingest"):
         if corpus is None:
@@ -328,6 +324,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
             )
     with _stage("selection"):
         selection = None
+        selection_fits = {}
         k_top = min(config.select_k_max, n_positive)
         if k_top >= 1:
             sel_basis = fpca.truncate_basis(
@@ -338,25 +335,25 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
                 "rows": [asdict(r) for r in table.rows],
                 "recommended_k": table.recommended_k,
             }
+            selection_fits = table.fits
     with _stage("fit"):
-        fits = poisson.fit_corpus(corpus, basis)
-        fit_summary = poisson.convergence_summary(fits)
+        # The selection basis nests this one: its fit at K is a fresh fit's.
+        fit = selection_fits.get(basis.k)
+        if fit is None:
+            fit = poisson.fit_matrix(counts_matrix(corpus), basis)
+        fit_summary = poisson.convergence_summary(fit)
     wsb_block = comparison = item_labels = None
     if config.baseline:
         with _stage("baseline"):
-            wsb_block, comparison = baseline_stage(
-                corpus.items, [f.mse for f in fits], config
-            )
+            wsb_block, comparison = baseline_stage(corpus.items, fit.mse, config)
     with _stage("cluster"):
-        scores = np.asarray([f.scores for f in fits], dtype=float).reshape(
-            len(fits), basis.k
-        )
-        entry, cluster_refusal = cluster_stage(scores, basis, config)
+        entry, cluster_refusal = cluster_stage(fit.scores, basis, config)
         clusters = {config.method: {str(config.k_clusters): entry}} if entry else {}
     with _stage("label"):
         if basis.k >= 1:
-            th = _shape_thresholds(config)
-            item_labels = [clus.classify_item(f, th) for f in fits]
+            item_labels = clus.classify_items(
+                np.exp(basis.eta(fit.scores)), _shape_thresholds(config)
+            )
     config_echo = asdict(config)
     # Execution knobs that cannot change model content stay out of the
     # persisted echo, keeping equal-config runs byte-identical across
@@ -392,12 +389,12 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         },
         "selection": selection,
         "fits": {
-            "scores": [_floats(f.scores) for f in fits],
-            "loglik": _floats(f.loglik for f in fits),
-            "mse": _floats(f.mse for f in fits),
-            "iterations": [int(f.iterations) for f in fits],
-            "converged": [bool(f.converged) for f in fits],
-            "ridged": [bool(f.ridged) for f in fits],
+            "scores": [_floats(row) for row in fit.scores],
+            "loglik": _floats(fit.loglik),
+            "mse": _floats(fit.mse),
+            "iterations": fit.iterations.tolist(),
+            "converged": fit.converged.tolist(),
+            "ridged": fit.ridged.tolist(),
         },
         "fit_summary": fit_summary,
         "wsb": wsb_block,

@@ -141,10 +141,7 @@ def _fig_cluster_curves(model: ModelFile, out: str) -> list[str]:
     entry = model.cluster_entry()
     basis = model.basis()
     t = model.grid.points
-    centroids = np.asarray(entry["centroids"], dtype=float)
-    curves = [
-        np.exp(basis.mean + c @ basis.eigenfunctions) for c in centroids
-    ]
+    curves = np.exp(basis.eta(np.asarray(entry["centroids"], dtype=float)))
     labels = entry.get("labels") or [f"cluster {j}" for j in range(len(curves))]
     names = [f"{lab} (c{j})" for j, lab in enumerate(labels)]
     rows = [

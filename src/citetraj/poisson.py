@@ -11,7 +11,7 @@ log-likelihoods are comparable only within this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,14 +21,13 @@ from .fpca import LatentBasis
 
 __all__ = [
     "FitOptions",
+    "FitArrays",
     "TrajectoryFit",
     "poisson_loglik",
     "loglik_grad_hess",
     "fit_matrix",
-    "fit_scores",
     "fit_items",
     "fit_corpus",
-    "fit_mse",
     "convergence_summary",
 ]
 
@@ -48,6 +47,19 @@ class FitOptions:
     max_halvings: int = 30
     ridge: float = 1e-6
     record_history: bool = False
+
+
+class FitArrays(NamedTuple):
+    """Row-aligned fits of an (n, T) count matrix (fields as in
+    :class:`TrajectoryFit`); ``loglik`` and ``mse`` share one final eta."""
+
+    scores: np.ndarray
+    loglik: np.ndarray
+    mse: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    ridged: np.ndarray
+    history: list[tuple[float, ...]] | None
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,7 @@ def loglik_grad_hess(counts, eta, basis: LatentBasis):
     return _gradient(counts[None, :], lam, phi)[0], -_neg_hessian(lam, phi)[0]
 
 
-def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
+def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     """Newton-with-step-halving over a batch of items sharing one basis.
 
     Every reduction runs per item (einsum with fixed loop order), so an
@@ -132,8 +144,9 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
     Accepted iterates always have finite, increasing objective, so only the
     starting point can sit beyond the overflow guard; such items are flagged
     for the ridge fallback instead of raising.
-    Returns (scores, loglik, iterations, converged, needs_fallback, history).
+    Returns (scores, iterations, converged, needs_fallback, history).
     """
+    phi = basis.eigenfunctions
     m = y.shape[0]
     k = phi.shape[0]
     s = s0.copy()
@@ -144,9 +157,6 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
     history: list[list[float]] | None = (
         [[] for _ in range(m)] if opts.record_history else None
     )
-
-    def eta_of(scores):
-        return mu[None, :] + np.einsum("ik,kt->it", scores, phi)
 
     def objective(yy, scores, eta):
         ll = _loglik_rows(yy, eta)
@@ -159,7 +169,7 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
         return grad - ridge * scores if ridge else grad
 
     if history is not None:
-        ll0 = objective(y, s, eta_of(s))
+        ll0 = objective(y, s, basis.eta(s))
         for i in range(m):
             history[i].append(float(ll0[i]))
 
@@ -168,7 +178,7 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
             break
         idx = np.nonzero(active)[0]
         sa = s[idx]
-        eta = eta_of(sa)
+        eta = basis.eta(sa)
         over = eta.max(axis=1) > ETA_OVERFLOW
         if over.any():
             fallback[idx[over]] = True
@@ -225,7 +235,7 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
             if not todo.any():
                 break
             trial = sa[todo] + alpha[todo, None] * direction[todo]
-            trial_ll = objective(ya[todo], trial, eta_of(trial))
+            trial_ll = objective(ya[todo], trial, basis.eta(trial))
             if _halving == 0:
                 # Right at the optimum the objective is float-flat: the full
                 # Newton step can read as a few ulps "worse" although the
@@ -255,16 +265,14 @@ def _newton_batch(y, mu, phi, opts: FitOptions, ridge: float, s0):
         if tiny.any():
             # Final gradient check so the converged flag keeps its meaning.
             s_t = new_s[tiny]
-            g_t = gradient(y[idx[tiny]], s_t, np.exp(eta_of(s_t)))
+            g_t = gradient(y[idx[tiny]], s_t, np.exp(basis.eta(s_t)))
             converged[idx[tiny]] = np.abs(g_t).max(axis=1) < opts.grad_tol
             active[idx[tiny]] = False
 
-    # Reported log-likelihood is always unpenalized, even for ridged fits.
-    ll = _loglik_rows(y, eta_of(s))
-    return s, ll, iters, converged, fallback, history
+    return s, iters, converged, fallback, history
 
 
-def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None):
+def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitArrays:
     """Maximum likelihood scores for every row of an (n, T) count matrix.
 
     Newton's method with step halving, initialized at the projection of the
@@ -273,48 +281,47 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None):
     ``step_tol`` and the final gradient check passes); ``max_iter``
     iterations otherwise, flagged.  Rows whose start trips the overflow
     guard, or whose Hessian is singular, are refit with a ridge penalty from
-    zero scores.
-
-    Returns ``(scores (n, K), loglik (n,), iterations (n,), converged (n,),
-    ridged (n,), history)``; ``history`` holds one tuple of objective values
-    per row when ``options.record_history`` is set and is None otherwise.
+    zero scores.  The reported log-likelihood is always unpenalized, even
+    for ridged rows.
     """
     opts = options or FitOptions()
     y = np.asarray(y, dtype=float)
     t = basis.grid.n_years
     if y.ndim != 2 or y.shape[1] != t:
         raise DataError(f"count matrix has shape {y.shape}, basis grid has {t} years")
-    mu = basis.mean
-    phi = basis.eigenfunctions
     n, k = y.shape[0], basis.k
-    scores = np.zeros((n, k))
-    loglik = np.zeros(n)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    ridged = np.zeros(n, dtype=bool)
-    history: list[tuple[float, ...]] | None = [] if opts.record_history else None
+    fit = FitArrays(
+        scores=np.zeros((n, k)), loglik=np.zeros(n), mse=np.zeros(n),
+        iterations=np.zeros(n, dtype=int), converged=np.zeros(n, dtype=bool),
+        ridged=np.zeros(n, dtype=bool), history=[] if opts.record_history else None,
+    )
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         yc = y[rows]
-        s0 = np.einsum("it,kt->ik", np.log1p(yc) - mu[None, :], phi) * basis.grid.delta
-        s, ll, it, conv, fallback, hist = _newton_batch(yc, mu, phi, opts, 0.0, s0)
+        s0 = np.einsum(
+            "it,kt->ik", np.log1p(yc) - basis.mean, basis.eigenfunctions
+        ) * basis.grid.delta
+        s, it, conv, fallback, hist = _newton_batch(yc, basis, opts, 0.0, s0)
         if fallback.any():
             # Ridge fallback restarts the flagged items from zero scores,
             # which keeps the initial linear predictor at the (safe) mean.
             idx = np.nonzero(fallback)[0]
-            s2, ll2, it2, conv2, _, hist2 = _newton_batch(
-                yc[idx], mu, phi, opts, opts.ridge, np.zeros((idx.size, k))
+            s2, it2, conv2, _, hist2 = _newton_batch(
+                yc[idx], basis, opts, opts.ridge, np.zeros((idx.size, k))
             )
-            s[idx], ll[idx], conv[idx] = s2, ll2, conv2
+            s[idx], conv[idx] = s2, conv2
             it[idx] += it2
             if hist is not None:
                 for j, i in enumerate(idx):
                     hist[i] = hist2[j]
-        scores[rows], loglik[rows], iterations[rows] = s, ll, it
-        converged[rows], ridged[rows] = conv, fallback
-        if history is not None:
-            history.extend(tuple(h) for h in hist)
-    return scores, loglik, iterations, converged, ridged, history
+        eta = basis.eta(s)
+        fit.scores[rows], fit.iterations[rows] = s, it
+        fit.converged[rows], fit.ridged[rows] = conv, fallback
+        fit.loglik[rows] = _loglik_rows(yc, eta)
+        fit.mse[rows] = np.mean((yc - np.exp(eta)) ** 2, axis=1)
+        if hist is not None:
+            fit.history.extend(tuple(h) for h in hist)
+    return fit
 
 
 def fit_items(
@@ -325,35 +332,19 @@ def fit_items(
     """Fit a list of trajectories (see :func:`fit_matrix`), in order."""
     if not items:
         return []
-    # The count matrix is dropped before the fits are built, so the two
-    # never sit in memory together.
-    scores, loglik, iterations, converged, ridged, history = fit_matrix(
-        np.asarray([it.counts for it in items], dtype=float), basis, options
-    )
-    mu = basis.mean
-    phi = basis.eigenfunctions
-    out = []
-    for i, item in enumerate(items):
-        y = np.asarray(item.counts, dtype=float)
-        eta = mu + scores[i] @ phi
-        lam = np.exp(eta)
-        out.append(
-            TrajectoryFit(
-                id=item.id, scores=scores[i].copy(), eta=eta, intensity=lam,
-                loglik=float(loglik[i]), mse=float(np.mean((y - lam) ** 2)),
-                iterations=int(iterations[i]), converged=bool(converged[i]),
-                ridged=bool(ridged[i]),
-                history=history[i] if history is not None else None,
-            )
+    fit = fit_matrix(np.asarray([it.counts for it in items], dtype=float), basis, options)
+    eta = basis.eta(fit.scores)
+    intensity = np.exp(eta)
+    return [
+        TrajectoryFit(
+            id=item.id, scores=fit.scores[i], eta=eta[i], intensity=intensity[i],
+            loglik=float(fit.loglik[i]), mse=float(fit.mse[i]),
+            iterations=int(fit.iterations[i]), converged=bool(fit.converged[i]),
+            ridged=bool(fit.ridged[i]),
+            history=fit.history[i] if fit.history is not None else None,
         )
-    return out
-
-
-def fit_scores(
-    traj: CountTrajectory, basis: LatentBasis, options: FitOptions | None = None
-) -> TrajectoryFit:
-    """Maximum likelihood scores for a single trajectory."""
-    return fit_items([traj], basis, options)[0]
+        for i, item in enumerate(items)
+    ]
 
 
 def fit_corpus(
@@ -367,21 +358,14 @@ def fit_corpus(
     return fit_items(corpus.items, basis, options)
 
 
-def fit_mse(traj: CountTrajectory, fit: TrajectoryFit) -> float:
-    """Mean squared error between observed counts and fitted intensity."""
-    y = np.asarray(traj.counts, dtype=float)
-    if y.shape != fit.intensity.shape:
-        raise DataError("trajectory and fit are on different grids")
-    return float(np.mean((y - fit.intensity) ** 2))
-
-
-def convergence_summary(fits: Sequence[TrajectoryFit]) -> dict:
-    n = len(fits)
-    converged = sum(f.converged for f in fits)
+def convergence_summary(fit: FitArrays) -> dict:
+    """Counts of converged and ridged rows and the largest iteration count."""
+    n = len(fit.converged)
+    converged = int(fit.converged.sum())
     return {
         "n_items": n,
         "n_converged": converged,
-        "n_ridged": sum(f.ridged for f in fits),
+        "n_ridged": int(fit.ridged.sum()),
         "convergence_rate": (converged / n) if n else 1.0,
-        "max_iterations": max((f.iterations for f in fits), default=0),
+        "max_iterations": int(fit.iterations.max()) if n else 0,
     }

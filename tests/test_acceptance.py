@@ -115,7 +115,7 @@ def test_criterion_2_newton_beats_grid():
     for _ in range(50):
         counts, _, basis = random_poisson_instance(rng, t=6, k=2)
         traj = CountTrajectory("x", tuple(int(c) for c in counts))
-        fit = poisson.fit_scores(traj, basis)
+        fit = poisson.fit_items([traj], basis)[0]
         offsets = np.linspace(-3.0, 3.0, 61)
         xs, ys = np.meshgrid(fit.scores[0] + offsets, fit.scores[1] + offsets)
         grid = np.stack([xs.ravel(), ys.ravel()], axis=1)

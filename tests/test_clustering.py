@@ -11,6 +11,7 @@ from citetraj.clustering import (
     ShapeThresholds,
     adjusted_rand_index,
     classify_item,
+    classify_items,
     cluster,
     kmeans,
     kmedoids,
@@ -307,6 +308,27 @@ class TestLabels:
         )
         assert label_clusters(permuted, basis) == tuple(labels[j] for j in perm)
 
+    def test_matches_loop_reference(self, planted):
+        basis = planted["basis"]
+        th = ShapeThresholds()
+        t = basis.grid.n_years
+        for k in (2, 3, 4, 5, 6):
+            model = kmeans(planted["scores"], k, seed=k)
+            labels, normal = [], {}
+            for j, curve in enumerate(np.exp(basis.eta(model.centroids))):
+                eps = th.evergreen_rel_tol * float(curve.max())
+                if np.all(np.diff(curve) >= -eps):
+                    labels.append("evergreen")
+                elif int(np.argmax(curve)) + 1 > th.delayed_frac * t:
+                    labels.append("delayed")
+                else:
+                    labels.append(None)
+                    normal[j] = float(curve.mean())
+            med = float(np.median(list(normal.values()))) if normal else 0.0
+            for j, m in normal.items():
+                labels[j] = "normal-high" if m > med else "normal-low"
+            assert label_clusters(model, basis, th) == tuple(labels)
+
     def test_centroid_dimension_mismatch(self, planted):
         model = kmeans(planted["scores"][:, :2], 2, seed=0)
         with pytest.raises(ConfigError, match="dimension"):
@@ -349,6 +371,62 @@ class TestClassifyItem:
             a = classify_item(synthetic_curve_fit(curve))
             b = classify_item(synthetic_curve_fit(scale * curve))
             assert a == b
+
+
+def reference_item_label(curve, th):
+    """Scalar statement of the item rules, in order, for one curve."""
+    t = len(curve)
+    peak = curve.max()
+    if np.all(np.diff(curve) >= -th.evergreen_rel_tol * peak):
+        return "evergreen"
+    peak_year = int(np.argmax(curve)) + 1
+    if peak_year <= th.flash_peak_frac * t and curve[-1] < th.flash_end_frac * peak:
+        return "flash-in-the-pan"
+    if peak_year > th.delayed_frac * t:
+        return "delayed document"
+    return "normal document"
+
+
+def spike(peak_years, base, t=30):
+    curve = np.full(t, base)
+    curve[np.asarray(peak_years) - 1] = 5.0
+    return curve
+
+
+class TestClassifyItems:
+    def check(self, curves, th=None):
+        curves = np.asarray(curves, dtype=float)
+        batch = classify_items(curves, th)
+        rows = [classify_item(synthetic_curve_fit(c), th) for c in curves]
+        assert batch == rows == [reference_item_label(c, th or ShapeThresholds()) for c in curves]
+        return batch
+
+    def test_planted_fits(self, planted):
+        labels = self.check([f.intensity for f in planted["fits"]])
+        assert len(set(labels)) >= 3
+
+    def test_edge_curves(self):
+        # T = 30: the flash cutoff is year 5, the delayed cutoff year 15.
+        labels = self.check([
+            np.full(30, 3.0),            # flat
+            spike([3, 20], 1.0),         # tied maxima: the first one counts
+            spike([16, 25], 1.0),        # tied maxima past the delayed cutoff
+            spike([5], 0.5),             # peak exactly at the flash cutoff
+            spike([6], 0.5),             # one year past it
+            spike([3], 1.0),             # endpoint exactly 20% of the peak
+            spike([15], 1.0),            # peak exactly at the delayed cutoff
+            spike([16], 1.0),            # one year past it
+        ])
+        assert labels == [
+            "evergreen", "normal document", "delayed document", "flash-in-the-pan",
+            "normal document", "normal document", "normal document", "delayed document",
+        ]
+
+    def test_decline_exactly_at_evergreen_tolerance(self):
+        th = ShapeThresholds(evergreen_rel_tol=0.25)
+        at = np.array([4.0, 3.0] + [3.0] * 28)
+        past = np.array([4.0, 2.5] + [2.5] * 28)
+        assert self.check([at, past], th) == ["evergreen", "normal document"]
 
 
 class TestMetrics:

@@ -6,7 +6,10 @@ and ``golden/model_view.json`` holds the compared content of the model that
 Discrete results must match exactly; floating-point results match at
 rtol 1e-9; each item's WSB objective may not be worse than the golden one by
 more than 1e-9 relative (plus 1e-9 absolute), so a better optimizer passes
-and a worse one fails.  A deliberate change of model content rewrites the
+and a worse one fails.  The gate fails on any float change above rtol and
+deliberately does not compare bitwise: computing the same quantity by an
+equivalent formula moves it by a few ulps, and that is not a change of
+model content.  A deliberate change of model content rewrites the
 golden view in the same change:
 
     PYTHONPATH=src python tests/test_golden.py

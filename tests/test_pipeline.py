@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from citetraj import synthgen
+from citetraj import poisson, synthgen
 from citetraj.data import write_corpus
 from citetraj.errors import ConfigError, DataError, StageError
 from citetraj.pipeline import (
@@ -45,7 +45,38 @@ class TestRunPipeline:
         intensities = model.intensities()
         counts = np.asarray(model.data["corpus"]["counts"], dtype=float)
         mse = ((counts - intensities) ** 2).mean(axis=1)
-        assert mse == pytest.approx(np.asarray(fits["mse"]), rel=1e-9)
+        assert mse.tolist() == fits["mse"]
+
+    def test_fit_block_matches_fit_corpus_bitwise(self, model):
+        fits = model.data["fits"]
+        reference = poisson.fit_corpus(model.corpus(), model.basis())
+        assert fits["scores"] == [f.scores.tolist() for f in reference]
+        assert fits["loglik"] == [f.loglik for f in reference]
+        assert fits["iterations"] == [f.iterations for f in reference]
+        assert fits["converged"] == [f.converged for f in reference]
+        assert fits["ridged"] == [f.ridged for f in reference]
+
+    @pytest.mark.parametrize("extra, refits", [
+        ({}, 0),
+        ({"k_basis": 6}, 0),
+        ({"k_basis": 0}, 1),
+        ({"k_basis": 8}, 1),
+        ({"k_basis": 3, "select_k_max": 2}, 1),
+    ])
+    def test_one_poisson_pass_per_k(self, corpus_path, monkeypatch, extra, refits):
+        fit_matrix = poisson.fit_matrix
+        calls = []
+
+        def counted(y, basis, *args, **kwargs):
+            calls.append(basis.k)
+            return fit_matrix(y, basis, *args, **kwargs)
+
+        monkeypatch.setattr(poisson, "fit_matrix", counted)
+        cfg = PipelineConfig(input=corpus_path, seed=8, baseline=False, **extra)
+        model = run_pipeline(cfg)
+        k_top = len(model.data["selection"]["rows"])
+        assert len(calls) == k_top + refits
+        assert calls[:k_top] == list(range(1, k_top + 1))
 
     def test_selection_table_present(self, model):
         sel = model.data["selection"]
@@ -118,17 +149,14 @@ class TestDeterminism:
 
 class TestPersistence:
     def test_non_finite_values_are_strict_json_null(self, corpus_path, tmp_path, monkeypatch):
-        import dataclasses
-
-        from citetraj import poisson
-
-        fit_corpus = poisson.fit_corpus
+        fit_matrix = poisson.fit_matrix
 
         def diverged_first(*args, **kwargs):
-            fits = fit_corpus(*args, **kwargs)
-            return [dataclasses.replace(fits[0], loglik=float("-inf"))] + fits[1:]
+            fit = fit_matrix(*args, **kwargs)
+            fit.loglik[0] = -np.inf
+            return fit
 
-        monkeypatch.setattr(poisson, "fit_corpus", diverged_first)
+        monkeypatch.setattr(poisson, "fit_matrix", diverged_first)
         path = tmp_path / "model.json"
         save_model(run_pipeline(PipelineConfig(input=corpus_path, seed=8, baseline=False)), path)
 

@@ -12,8 +12,6 @@ from citetraj.poisson import (
     fit_corpus,
     fit_items,
     fit_matrix,
-    fit_mse,
-    fit_scores,
     loglik_grad_hess,
     poisson_loglik,
 )
@@ -106,7 +104,7 @@ class TestFitScores:
     def test_analytic_half_basis(self):
         t = 4
         basis = basis_from(np.full((1, t), 0.5), t)
-        fit = fit_scores(CountTrajectory("a", (2, 2, 2, 2)), basis)
+        fit = fit_items([CountTrajectory("a", (2, 2, 2, 2))], basis)[0]
         assert fit.converged
         assert fit.scores[0] == pytest.approx(2 * np.log(2.0), abs=1e-9)
         assert fit.intensity == pytest.approx(np.full(t, 2.0), abs=1e-8)
@@ -115,7 +113,7 @@ class TestFitScores:
         t = 5
         mean = np.log(np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
         basis = basis_from(np.zeros((0, t)), t, mean)
-        fit = fit_scores(CountTrajectory("a", (1, 2, 3, 2, 1)), basis)
+        fit = fit_items([CountTrajectory("a", (1, 2, 3, 2, 1))], basis)[0]
         assert fit.scores.size == 0
         assert fit.intensity == pytest.approx(np.exp(mean))
         assert fit.loglik == pytest.approx(
@@ -126,7 +124,8 @@ class TestFitScores:
     def test_global_optimum_on_grid(self):
         rng = np.random.default_rng(23)
         counts, _, basis = random_instance(rng, t=6, k=2)
-        fit = fit_scores(CountTrajectory("a", tuple(int(c) for c in counts)), basis)
+        traj = CountTrajectory("a", tuple(int(c) for c in counts))
+        fit = fit_items([traj], basis)[0]
         grid = np.linspace(-3, 3, 61)
         xs, ys = np.meshgrid(grid + fit.scores[0], grid + fit.scores[1])
         candidates = np.stack([xs.ravel(), ys.ravel()], axis=1)
@@ -138,7 +137,7 @@ class TestFitScores:
         basis = planted["basis"]
         opts = FitOptions(record_history=True)
         for item in planted["corpus"].items[:40]:
-            fit = fit_scores(item, basis, opts)
+            fit = fit_items([item], basis, opts)[0]
             hist = np.asarray(fit.history)
             tol = 1e-12 * np.maximum(1.0, np.abs(hist[:-1]))
             assert (np.diff(hist) >= -tol).all()
@@ -180,21 +179,12 @@ class TestFitScores:
 
 
 class TestFitCorpus:
-    def test_singleton_matches_fit_scores(self, planted):
-        corpus = planted["corpus"]
-        basis = planted["basis"]
-        one = Corpus(corpus.grid, corpus.items[:1])
-        batch = fit_corpus(one, basis)
-        single = fit_scores(corpus.items[0], basis)
-        assert np.array_equal(batch[0].scores, single.scores)
-        assert batch[0].loglik == single.loglik
-
     def test_batch_matches_single_bitwise(self, planted):
         corpus = planted["corpus"]
         basis = planted["basis"]
         fits = planted["fits"]
         for idx in (0, 57, 255, 256, 399):
-            single = fit_scores(corpus.items[idx], basis)
+            single = fit_items([corpus.items[idx]], basis)[0]
             assert np.array_equal(fits[idx].scores, single.scores)
             assert fits[idx].loglik == single.loglik
 
@@ -215,18 +205,19 @@ class TestFitCorpus:
         basis = planted["basis"]
         opts = FitOptions(record_history=record_history)
         y = np.asarray([it.counts for it in corpus.items], dtype=float)
-        scores, loglik, iterations, converged, ridged, history = fit_matrix(y, basis, opts)
+        arrays = fit_matrix(y, basis, opts)
         fits = fit_items(corpus.items, basis, opts)
-        assert scores.shape == (len(corpus), basis.k)
-        assert (history is None) == (not record_history)
+        assert arrays.scores.shape == (len(corpus), basis.k)
+        assert (arrays.history is None) == (not record_history)
         for i, fit in enumerate(fits):
             assert fit.id == corpus.items[i].id
-            assert np.array_equal(fit.scores, scores[i])
-            assert fit.loglik == loglik[i]
-            assert fit.iterations == iterations[i]
-            assert fit.converged == converged[i]
-            assert fit.ridged == ridged[i]
-            assert fit.history == (history[i] if record_history else None)
+            assert np.array_equal(fit.scores, arrays.scores[i])
+            assert fit.loglik == arrays.loglik[i]
+            assert fit.mse == arrays.mse[i]
+            assert fit.iterations == arrays.iterations[i]
+            assert fit.converged == arrays.converged[i]
+            assert fit.ridged == arrays.ridged[i]
+            assert fit.history == (arrays.history[i] if record_history else None)
 
     def test_score_recovery_correlation(self):
         from citetraj import synthgen
@@ -247,38 +238,29 @@ class TestFitCorpus:
             assert r > 0.9
 
     def test_summary(self, planted):
-        summary = convergence_summary(planted["fits"])
+        y = np.asarray([it.counts for it in planted["corpus"].items], dtype=float)
+        summary = convergence_summary(fit_matrix(y, planted["basis"]))
         assert summary["n_items"] == 400
         assert summary["convergence_rate"] > 0.99
 
 
 class TestMse:
-    def test_perfect_fit(self, planted):
+    def test_perfect_fit(self):
         # a fit whose intensity equals the counts exactly has zero error
-        from dataclasses import replace
+        t = 3
+        basis = basis_from(np.zeros((0, t)), t)
+        assert fit_items([CountTrajectory("a", (1, 1, 1))], basis)[0].mse == 0.0
 
-        fit = planted["fits"][0]
-        item = planted["corpus"].items[0]
-        y = np.asarray(item.counts, dtype=float)
-        perfect = replace(fit, intensity=y, eta=np.log(np.maximum(y, 1e-9)))
-        assert fit_mse(item, perfect) == 0.0
-
-    def test_arithmetic(self, planted):
-        from dataclasses import replace
-
-        fit = replace(
-            planted["fits"][0],
-            intensity=np.ones(2),
-            eta=np.zeros(2),
-        )
-        assert fit_mse(CountTrajectory("a", (0, 2)), fit) == pytest.approx(1.0)
+    def test_arithmetic(self):
+        basis = basis_from(np.zeros((0, 2)), 2)
+        assert fit_items([CountTrajectory("a", (0, 2))], basis)[0].mse == pytest.approx(1.0)
 
     def test_matches_naive_sum(self, planted):
         item = planted["corpus"].items[3]
         fit = planted["fits"][3]
         y = item.counts
         naive = sum((y[j] - fit.intensity[j]) ** 2 for j in range(len(y))) / len(y)
-        assert fit_mse(item, fit) == pytest.approx(naive, rel=1e-12)
+        assert fit.mse == pytest.approx(naive, rel=1e-12)
 
 
 def test_basis_from_helper_is_orthonormal():
