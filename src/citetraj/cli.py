@@ -93,7 +93,10 @@ def _int_list(raw: str) -> list[int]:
 def _k_range(raw: str) -> list[int]:
     if ":" in raw:
         lo, hi = raw.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        try:
+            return list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise ConfigError(f"expected a K range like 2:6, got {raw!r}") from None
     return _int_list(raw)
 
 
@@ -271,7 +274,7 @@ def _cmd_baseline(args, config: PipelineConfig) -> int:
         return EXIT_OK
     data["config"].update(changed, baseline=True)
     data["wsb"], data["comparison"] = pipeline.baseline_stage(
-        model.corpus().items, data["fits"]["mse"], cfg
+        data["corpus"]["counts"], data["fits"]["mse"], cfg
     )
     save_model(model, _model_path(config))
     comp = data["comparison"]
@@ -328,6 +331,8 @@ def _cmd_sensitivity(args, config: PipelineConfig) -> int:
     if not thresholds:
         raise ConfigError("need at least one threshold")
     k_values = _k_range(args.k_range)
+    if not k_values:
+        raise ConfigError(f"need at least one K value, got {args.k_range!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cfg, _ = _stage_config(model, args, _SENSITIVITY_FIELDS, config)
     new_model = pipeline.sensitivity(model, thresholds, k_values, methods, cfg)

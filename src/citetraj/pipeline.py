@@ -227,23 +227,22 @@ def _shape_thresholds(config: PipelineConfig) -> clus.ShapeThresholds:
     return clus.ShapeThresholds(evergreen_rel_tol=config.evergreen_tol)
 
 
-def baseline_stage(items: Sequence[CountTrajectory], fpca_mse: Sequence[float],
+def baseline_stage(counts, fpca_mse: Sequence[float],
                    config: PipelineConfig) -> tuple[dict, dict]:
-    """The model's ``wsb`` and ``comparison`` blocks: per-item WSB fits set
-    against the functional fits' per-item MSEs ``fpca_mse``."""
-    wsb_fits = wsb.fit_wsb_corpus(items, m=config.m_wsb, jobs=config.jobs)
+    """The model's ``wsb`` and ``comparison`` blocks: WSB fits of the rows of
+    the (n, T) count matrix ``counts`` set against the functional fits'
+    row-aligned MSEs ``fpca_mse``."""
+    fit = wsb.fit_wsb_corpus(counts, m=config.m_wsb, jobs=config.jobs)
     wsb_block = {
         "m": float(config.m_wsb),
-        "lam": _floats(f.params.lam for f in wsb_fits),
-        "mu": _floats(f.params.mu for f in wsb_fits),
-        "sigma": _floats(f.params.sigma for f in wsb_fits),
-        "mse": _floats(f.mse for f in wsb_fits),
-        "converged": [bool(f.converged) for f in wsb_fits],
-        "objective": _floats(f.objective for f in wsb_fits),
+        "lam": _floats(fit.lam),
+        "mu": _floats(fit.mu),
+        "sigma": _floats(fit.sigma),
+        "mse": _floats(fit.mse),
+        "converged": fit.converged.tolist(),
+        "objective": _floats(fit.objective),
     }
-    table = wsb.compare_models(
-        [it.id for it in items], fpca_mse, wsb_fits, eval_points=config.eval_grid
-    )
+    table = wsb.compare_models(fit.mse, fpca_mse, eval_points=config.eval_grid)
     comparison = {
         "log10_mse_wsb": _floats(table.log10_mse_wsb),
         "log10_mse_fpca": _floats(table.log10_mse_fpca),
@@ -345,7 +344,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
     wsb_block = comparison = item_labels = None
     if config.baseline:
         with _stage("baseline"):
-            wsb_block, comparison = baseline_stage(corpus.items, fit.mse, config)
+            wsb_block, comparison = baseline_stage(counts_matrix(corpus), fit.mse, config)
     with _stage("cluster"):
         entry, cluster_refusal = cluster_stage(fit.scores, basis, config)
         clusters = {config.method: {str(config.k_clusters): entry}} if entry else {}
@@ -405,7 +404,6 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         "robustness": None,
         "thresholds": None,
     }
-    data["checksum"] = _checksum(data)
     return ModelFile(data)
 
 
@@ -467,5 +465,4 @@ def sensitivity(
     data = dict(model.data)
     data["robustness"] = sweep.report
     data["thresholds"] = threshold_report
-    data["checksum"] = _checksum(data)
     return ModelFile(data)

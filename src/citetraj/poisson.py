@@ -46,7 +46,6 @@ class FitOptions:
     step_tol: float = 1e-10
     max_halvings: int = 30
     ridge: float = 1e-6
-    record_history: bool = False
 
 
 class FitArrays(NamedTuple):
@@ -59,7 +58,6 @@ class FitArrays(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     ridged: np.ndarray
-    history: list[tuple[float, ...]] | None
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class TrajectoryFit:
     iterations: int
     converged: bool
     ridged: bool = False
-    history: tuple[float, ...] | None = None
 
 
 def _loglik_rows(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     Accepted iterates always have finite, increasing objective, so only the
     starting point can sit beyond the overflow guard; such items are flagged
     for the ridge fallback instead of raising.
-    Returns (scores, iterations, converged, needs_fallback, history).
+    Returns (scores, iterations, converged, needs_fallback).
     """
     phi = basis.eigenfunctions
     m = y.shape[0]
@@ -154,9 +151,6 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     converged = np.zeros(m, dtype=bool)
     fallback = np.zeros(m, dtype=bool)
     active = np.ones(m, dtype=bool)
-    history: list[list[float]] | None = (
-        [[] for _ in range(m)] if opts.record_history else None
-    )
 
     def objective(yy, scores, eta):
         ll = _loglik_rows(yy, eta)
@@ -167,11 +161,6 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     def gradient(yy, scores, lam):
         grad = _gradient(yy, lam, phi)
         return grad - ridge * scores if ridge else grad
-
-    if history is not None:
-        ll0 = objective(y, s, basis.eta(s))
-        for i in range(m):
-            history[i].append(float(ll0[i]))
 
     for _ in range(opts.max_iter):
         if not active.any():
@@ -229,7 +218,6 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
         alpha = np.ones(len(idx))
         improved = np.zeros(len(idx), dtype=bool)
         new_s = sa.copy()
-        new_ll = ll.copy()
         for _halving in range(opts.max_halvings + 1):
             todo = ~improved
             if not todo.any():
@@ -248,14 +236,10 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
                 better = trial_ll > ll[todo]
             where = np.nonzero(todo)[0][better]
             new_s[where] = trial[better]
-            new_ll[where] = trial_ll[better]
             improved[where] = True
             alpha[~improved] *= 0.5
 
         iters[idx[improved]] += 1
-        if history is not None:
-            for row in np.nonzero(improved)[0]:
-                history[idx[row]].append(float(new_ll[row]))
         # Stalled items cannot improve the objective; stop them unconverged.
         stalled = ~improved
         active[idx[stalled]] = False
@@ -269,7 +253,7 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
             converged[idx[tiny]] = np.abs(g_t).max(axis=1) < opts.grad_tol
             active[idx[tiny]] = False
 
-    return s, iters, converged, fallback, history
+    return s, iters, converged, fallback
 
 
 def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitArrays:
@@ -293,7 +277,7 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitA
     fit = FitArrays(
         scores=np.zeros((n, k)), loglik=np.zeros(n), mse=np.zeros(n),
         iterations=np.zeros(n, dtype=int), converged=np.zeros(n, dtype=bool),
-        ridged=np.zeros(n, dtype=bool), history=[] if opts.record_history else None,
+        ridged=np.zeros(n, dtype=bool),
     )
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
@@ -301,26 +285,21 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitA
         s0 = np.einsum(
             "it,kt->ik", np.log1p(yc) - basis.mean, basis.eigenfunctions
         ) * basis.grid.delta
-        s, it, conv, fallback, hist = _newton_batch(yc, basis, opts, 0.0, s0)
+        s, it, conv, fallback = _newton_batch(yc, basis, opts, 0.0, s0)
         if fallback.any():
             # Ridge fallback restarts the flagged items from zero scores,
             # which keeps the initial linear predictor at the (safe) mean.
             idx = np.nonzero(fallback)[0]
-            s2, it2, conv2, _, hist2 = _newton_batch(
+            s2, it2, conv2, _ = _newton_batch(
                 yc[idx], basis, opts, opts.ridge, np.zeros((idx.size, k))
             )
             s[idx], conv[idx] = s2, conv2
             it[idx] += it2
-            if hist is not None:
-                for j, i in enumerate(idx):
-                    hist[i] = hist2[j]
         eta = basis.eta(s)
         fit.scores[rows], fit.iterations[rows] = s, it
         fit.converged[rows], fit.ridged[rows] = conv, fallback
         fit.loglik[rows] = _loglik_rows(yc, eta)
         fit.mse[rows] = np.mean((yc - np.exp(eta)) ** 2, axis=1)
-        if hist is not None:
-            fit.history.extend(tuple(h) for h in hist)
     return fit
 
 
@@ -341,7 +320,6 @@ def fit_items(
             loglik=float(fit.loglik[i]), mse=float(fit.mse[i]),
             iterations=int(fit.iterations[i]), converged=bool(fit.converged[i]),
             ridged=bool(fit.ridged[i]),
-            history=fit.history[i] if fit.history is not None else None,
         )
         for i, item in enumerate(items)
     ]

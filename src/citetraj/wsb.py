@@ -5,16 +5,18 @@ combining a fitness factor with lognormal aging; m is a fixed global
 constant.  Parameters are fit per item by least squares on the cumulative
 curve (stable and standard for this model), while the reported MSE is
 computed on annual counts so comparisons against the functional Poisson
-model share one error scale.  The least-squares fits run as one vectorized
-Levenberg-Marquardt over every item's start points, with the analytic
-Jacobian and steps projected onto the parameter box.
+model share one error scale.  The fits take an (n, T) count matrix and
+return row-aligned columns (:class:`WsbArrays`), as the Poisson fits do.
+They run as one vectorized Levenberg-Marquardt over every row's start
+points, with the analytic Jacobian and steps projected onto the parameter
+box.  :func:`fit_wsb` is the one-item view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid
 __all__ = [
     "WsbParams",
     "WsbFit",
+    "WsbArrays",
     "MinimizeResult",
     "minimize",
     "normal_cdf",
@@ -91,7 +94,22 @@ class WsbFit:
     mse: float
     converged: bool
     objective: float
+    # Always empty; kept because the benchmark's tracer (bench/tracer.py)
+    # reads it from fit_wsb results.
     diagnostics: str = ""
+
+
+class WsbArrays(NamedTuple):
+    """Row-aligned WSB fits of an (n, T) count matrix (fields as in
+    :class:`WsbFit` and :class:`WsbParams`); ``objective`` is the winning
+    start's least-squares objective on the cumulative curve."""
+
+    lam: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    mse: np.ndarray
+    converged: np.ndarray
+    objective: np.ndarray
 
 
 def normal_cdf(x):
@@ -254,92 +272,65 @@ def minimize(theta0, log_t, c_obs, m: float) -> MinimizeResult:
     return MinimizeResult(x=x, fun=f, nit=nit, success=success, nfev=int(nfev))
 
 
-def _placeholder(traj: CountTrajectory, m: float) -> WsbFit:
-    params = WsbParams(lam=0.0, mu=math.log(2.0), sigma=1.0, m=m)
-    grid = TimeGrid(len(traj.counts))
-    return WsbFit(
-        id=traj.id, params=params,
-        cumulative_fitted=wsb_cumulative(grid.points, params),
-        annual_fitted=wsb_annual(params, grid),
-        mse=0.0, converged=False, objective=math.inf,
-        diagnostics="all-zero trajectory",
-    )
-
-
-def _fit_chunk(items: Sequence[CountTrajectory], m: float) -> list[WsbFit]:
-    """Best-of-4-starts fits of items that share one grid length."""
-    grid = TimeGrid(len(items[0].counts))
-    y = np.asarray([it.counts for it in items], dtype=float)
-    starts = np.asarray([_multistart_points(it.total, m) for it in items])
+def _fit_chunk(y: np.ndarray, m: float) -> WsbArrays:
+    """Best-of-4-starts fits of the rows of a count matrix."""
+    log_t = np.log(TimeGrid(y.shape[1]).points)
+    starts = np.asarray([_multistart_points(total, m) for total in y.sum(axis=1)])
     n_starts = starts.shape[1]
     result = minimize(
-        starts.reshape(-1, 3), np.log(grid.points),
-        np.repeat(np.cumsum(y, axis=1), n_starts, axis=0), m,
+        starts.reshape(-1, 3), log_t, np.repeat(np.cumsum(y, axis=1), n_starts, axis=0), m,
     )
     # argmin keeps the first start on ties.
-    best = np.arange(len(items)) * n_starts + np.argmin(
-        result.fun.reshape(-1, n_starts), axis=1
+    best = np.arange(len(y)) * n_starts + np.argmin(result.fun.reshape(-1, n_starts), axis=1)
+    theta = result.x[best]
+    lam, _, _, cdf = _curve(theta, log_t)
+    annual = np.diff(m * np.expm1(lam * cdf), prepend=0.0, axis=1)
+    return WsbArrays(
+        lam=theta[:, 0], mu=theta[:, 1], sigma=theta[:, 2],
+        mse=np.mean((y - annual) ** 2, axis=1),
+        converged=result.success[best], objective=result.fun[best],
     )
-    out = []
-    for item, counts, row in zip(items, y, best):
-        lam, mu, sigma = (float(v) for v in result.x[row])
-        params = WsbParams(lam=lam, mu=mu, sigma=sigma, m=m)
-        fitted_c = wsb_cumulative(grid.points, params)
-        fitted_a = np.diff(fitted_c, prepend=0.0)
-        out.append(WsbFit(
-            id=item.id,
-            params=params,
-            cumulative_fitted=fitted_c,
-            annual_fitted=fitted_a,
-            mse=float(np.mean((counts - fitted_a) ** 2)),
-            converged=bool(result.success[row]),
-            objective=float(result.fun[row]),
-        ))
-    return out
 
 
-def fit_wsb_corpus(
-    items: Sequence[CountTrajectory],
-    m: float = 30.0,
-    jobs: int = 1,
-) -> list[WsbFit]:
-    """Least-squares WSB fits on the cumulative curve, in input order.
+def fit_wsb_corpus(y, m: float = 30.0, jobs: int = 1) -> WsbArrays:
+    """Least-squares WSB fits of every row of an (n, T) count matrix.
 
-    Each item is fit from 4 starts, pairing mu in {ln 2, ln 8} with sigma in
+    Each row is fit from 4 starts, pairing mu in {ln 2, ln 8} with sigma in
     {0.5, 1.5}, with lam at ln(1 + total/m); the start with the lowest
-    objective wins.  All starts of up to ``poisson._CHUNK`` items of one
-    length are fit together by :func:`minimize`, and ``jobs`` threads map
-    over these chunks; a fit does not depend on its chunk.  Items with zero
-    totals come back as unconverged placeholders rather than aborting the
-    batch.
+    objective wins, and its annual curve gives the row's MSE.  All starts
+    of up to ``poisson._CHUNK`` rows are fit together by :func:`minimize`,
+    and ``jobs`` threads map over these chunks; a fit does not depend on
+    its chunk.  Rows with a total below 1 skip the solver and keep
+    placeholder values rather than aborting the batch: lam 0, mu ln 2,
+    sigma 1, MSE 0, unconverged, objective +inf.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if m <= 0:
         raise ConfigError(f"m must be positive, got {m}")
-    fits: list[WsbFit | None] = [None] * len(items)
-    by_length: dict[int, list[int]] = {}
-    for i, traj in enumerate(items):
-        if traj.total < 1:
-            fits[i] = _placeholder(traj, m)
-        else:
-            by_length.setdefault(len(traj.counts), []).append(i)
-    chunks = [
-        idx[lo:lo + _CHUNK] for idx in by_length.values() for lo in range(0, len(idx), _CHUNK)
-    ]
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise DataError(f"WSB fits need an (n, T) count matrix, got shape {y.shape}")
+    n = len(y)
+    fit = WsbArrays(
+        lam=np.zeros(n), mu=np.full(n, math.log(2.0)), sigma=np.ones(n), mse=np.zeros(n),
+        converged=np.zeros(n, dtype=bool), objective=np.full(n, math.inf),
+    )
+    rows = np.nonzero(y.sum(axis=1) >= 1)[0]
+    chunks = [rows[lo:lo + _CHUNK] for lo in range(0, len(rows), _CHUNK)]
 
-    def run(chunk: list[int]) -> list[WsbFit]:
-        return _fit_chunk([items[i] for i in chunk], m)
+    def run(chunk: np.ndarray) -> WsbArrays:
+        return _fit_chunk(y[chunk], m)
 
     if jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, chunks))
     else:
         results = [run(chunk) for chunk in chunks]
-    for chunk, chunk_fits in zip(chunks, results):
-        for i, fit in zip(chunk, chunk_fits):
-            fits[i] = fit
-    return fits
+    for chunk, part in zip(chunks, results):
+        for column, values in zip(fit, part):
+            column[chunk] = values
+    return fit
 
 
 def fit_wsb(traj: CountTrajectory, m: float = 30.0) -> WsbFit:
@@ -348,14 +339,20 @@ def fit_wsb(traj: CountTrajectory, m: float = 30.0) -> WsbFit:
     starts).  An item with no events is rejected."""
     if traj.total < 1:
         raise DataError(f"item {traj.id!r} has no events; WSB fit needs total >= 1")
-    return fit_wsb_corpus([traj], m=m)[0]
+    fit = fit_wsb_corpus([traj.counts], m=m)
+    params = WsbParams(lam=float(fit.lam[0]), mu=float(fit.mu[0]), sigma=float(fit.sigma[0]), m=m)
+    cumulative = wsb_cumulative(TimeGrid(len(traj.counts)).points, params)
+    return WsbFit(
+        id=traj.id, params=params, cumulative_fitted=cumulative,
+        annual_fitted=np.diff(cumulative, prepend=0.0), mse=float(fit.mse[0]),
+        converged=bool(fit.converged[0]), objective=float(fit.objective[0]),
+    )
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
     """Per-item log10 MSE pairs plus the two error densities."""
 
-    ids: tuple[str, ...]
     log10_mse_wsb: np.ndarray
     log10_mse_fpca: np.ndarray
     kde_wsb: DensityEstimate
@@ -369,37 +366,24 @@ class ComparisonTable:
     def median_log10_mse_fpca(self) -> float:
         return float(np.median(self.log10_mse_fpca))
 
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [
-            (i, float(w), float(f))
-            for i, w, f in zip(self.ids, self.log10_mse_wsb, self.log10_mse_fpca)
-        ]
-
 
 def compare_models(
-    ids: Sequence[str],
+    wsb_mse: Sequence[float],
     fpca_mse: Sequence[float],
-    wsb_fits: Sequence[WsbFit],
     eval_points: int = 256,
 ) -> ComparisonTable:
     """Goodness-of-fit comparison on the shared log10 MSE scale.
 
-    ``ids`` and ``fpca_mse`` give each item's functional-fit MSE; the WSB
-    fits must cover exactly the same ids.  Zero MSEs are floored at 1e-12
-    before the log.  The two kernel densities share one evaluation grid
-    padded by four bandwidths past the pooled range.
+    ``wsb_mse`` and ``fpca_mse`` are row-aligned per-item MSEs of the WSB
+    and functional fits.  Zero MSEs are floored at 1e-12 before the log.
+    The two kernel densities share one evaluation grid padded by four
+    bandwidths past the pooled range.
     """
-    by_id_w = {f.id: f for f in wsb_fits}
-    ids_f = list(ids)
-    missing = sorted(set(ids_f) ^ set(by_id_w))
-    if missing or not ids_f:
-        raise DataError(
-            "model comparison needs matching ids; symmetric difference: "
-            f"{missing}"
-        )
-    if len(fpca_mse) != len(ids_f):
-        raise DataError(f"{len(fpca_mse)} functional-fit MSEs for {len(ids_f)} ids")
-    lw = np.log10(np.maximum([by_id_w[i].mse for i in ids_f], MSE_FLOOR))
+    if len(fpca_mse) != len(wsb_mse):
+        raise DataError(f"{len(fpca_mse)} functional-fit MSEs for {len(wsb_mse)} WSB fits")
+    if not len(wsb_mse):
+        raise DataError("model comparison needs at least one item")
+    lw = np.log10(np.maximum(wsb_mse, MSE_FLOOR))
     lf = np.log10(np.maximum(fpca_mse, MSE_FLOOR))
     pooled = np.concatenate([lw, lf])
     try:
@@ -410,7 +394,6 @@ def compare_models(
         h = 0.25  # degenerate spread; fixed fallback keeps the densities defined
     grid = kde_eval_grid(pooled, h, eval_points)
     return ComparisonTable(
-        ids=tuple(ids_f),
         log10_mse_wsb=lw,
         log10_mse_fpca=lf,
         kde_wsb=gaussian_kde(lw, h, grid),

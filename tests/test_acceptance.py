@@ -255,8 +255,8 @@ def test_criterion_7_wsb_baseline(planted2000):
 
     items = planted2000["corpus"].items[:400]
     fits = planted2000["fits"][:400]
-    wsb_fits = wsb.fit_wsb_corpus(items, m=30.0)
-    table = wsb.compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+    wsb_fit = wsb.fit_wsb_corpus([it.counts for it in items], m=30.0)
+    table = wsb.compare_models(wsb_fit.mse, [f.mse for f in fits])
     med_ok = table.median_log10_mse_fpca <= table.median_log10_mse_wsb
     integrals = (table.kde_wsb.integral(), table.kde_fpca.integral())
     kde_ok = all(0.98 <= v <= 1.0 for v in integrals)

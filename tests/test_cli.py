@@ -206,6 +206,70 @@ def test_stage_commands_run_no_other_fits(small_corpus, tmp_path, monkeypatch):
     assert data["wsb"] is not None and data["comparison"] is not None
 
 
+def test_fit_encodes_the_model_twice(small_corpus, tmp_path, monkeypatch):
+    # One canonical encode hashes the body, one writes the file.
+    from citetraj import pipeline
+
+    calls = []
+    encode = pipeline._canonical_bytes
+    monkeypatch.setattr(pipeline, "_canonical_bytes",
+                        lambda data: calls.append(1) or encode(data))
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus),
+                 "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 2
+    pipeline.load_model(tmp_path / "model.json")
+
+
+def _edit_stored_counts(out):
+    path = out / "model.json"
+    data = json.loads(path.read_text())
+    data["corpus"]["counts"][0][0] += 1
+    path.write_text(json.dumps(data))
+
+
+def _csv(header_years, rows):
+    head = "id," + ",".join(f"y{j}" for j in range(1, header_years + 1))
+    return "\n".join([head] + [f"p{i}," + ",".join(map(str, r)) for i, r in enumerate(rows)])
+
+
+# (corpus: "head4" for the first 4 items of the small corpus, or CSV text;
+#  whether a `fit --no-baseline` model is written first; an edit to that
+#  model; the failing command; its exit code; a fragment of its stderr).
+_FAILURES = {
+    "edited_model": ("head4", True, _edit_stored_counts, ["cluster"], EXIT_DATA,
+                     "checksum mismatch"),
+    "all_zero_corpus": (_csv(5, [(0,) * 5] * 6), False, None, ["fit", "--no-baseline"],
+                        EXIT_CONFIG, "stage 'eigenbasis'"),
+    "two_year_grid": (_csv(2, [(i, i + 1) for i in range(6)]), False, None, ["fit"],
+                      EXIT_NUMERIC, "stage 'mean'"),
+    "more_clusters_than_items": ("head4", True, None, ["cluster", "--k-clusters", "5"],
+                                 EXIT_CONFIG, "4 items cannot form 5 clusters"),
+    "bad_k_range": ("head4", True, None, ["sensitivity", "--k-range", "2:x"],
+                    EXIT_CONFIG, "'2:x'"),
+    "empty_k_range": ("head4", True, None, ["sensitivity", "--k-range", "6:2"],
+                      EXIT_CONFIG, "need at least one K value"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_failure_exit_codes(case, small_corpus, tmp_path, capsys):
+    corpus, fit_first, edit, command, code, message = _FAILURES[case]
+    if corpus == "head4":
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(small_corpus.read_text().splitlines()[:4]) + "\n")
+    else:
+        path = tmp_path / "corpus.csv"
+        path.write_text(corpus + "\n")
+    out = ["--output-dir", str(tmp_path / "out")]
+    if fit_first:
+        assert main(["fit", "--no-baseline", "--input", str(path)] + out) == EXIT_OK
+    if edit:
+        edit(tmp_path / "out")
+    capsys.readouterr()
+    assert main(command + ["--input", str(path)] + out) == code
+    assert message in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
         cfg = tmp_path / "opts.conf"

@@ -157,14 +157,22 @@ class TestFit:
             fit_wsb(CountTrajectory("z", (0,) * 10), m=30.0)
 
     def test_corpus_keeps_zero_items_as_placeholders(self):
-        items = [
-            CountTrajectory("a", (0,) * 10),
-            CountTrajectory("b", (1, 2, 3, 2, 1, 0, 0, 0, 0, 0)),
-        ]
-        fits = fit_wsb_corpus(items, m=30.0)
-        assert [f.id for f in fits] == ["a", "b"]
-        assert not fits[0].converged
-        assert "all-zero" in fits[0].diagnostics
+        y = np.array([(0,) * 10, (1, 2, 3, 2, 1, 0, 0, 0, 0, 0), (0,) * 10])
+        fit = fit_wsb_corpus(y, m=30.0)
+        assert all(len(column) == 3 for column in fit)
+        for row in (0, 2):
+            assert (fit.lam[row], fit.mu[row], fit.sigma[row]) == (0.0, math.log(2.0), 1.0)
+            assert fit.mse[row] == 0.0
+            assert not fit.converged[row]
+            assert fit.objective[row] == math.inf
+        single = fit_wsb(CountTrajectory("b", tuple(y[1])), m=30.0)
+        assert (fit.lam[1], fit.mu[1], fit.sigma[1]) == (
+            single.params.lam, single.params.mu, single.params.sigma)
+        assert fit.objective[1] == single.objective < math.inf
+
+    def test_corpus_needs_a_matrix(self):
+        with pytest.raises(DataError, match="matrix"):
+            fit_wsb_corpus(np.ones(10), m=30.0)
 
     def test_deterministic(self):
         item, _, _ = self.make_item(0.9, 0.5, 0.8)
@@ -203,9 +211,9 @@ class TestAgainstNelderMead:
     def test_objective_never_worse(self, seed):
         corpus, _ = synthgen.simulate_corpus(synthgen.default_spec(200, seed))
         items = [it for it in corpus.items if it.total >= 1]
-        fits = fit_wsb_corpus(items, m=30.0)
-        worse = [(it.id, fit.objective, ref) for it, fit in zip(items, fits)
-                 if not not_worse(fit.objective, ref := nelder_mead_objective(it))]
+        fit = fit_wsb_corpus([it.counts for it in items], m=30.0)
+        worse = [(it.id, f, ref) for it, f in zip(items, fit.objective)
+                 if not not_worse(f, ref := nelder_mead_objective(it))]
         assert worse == []
 
     def test_lam_pinned_at_upper_bound(self):
@@ -221,27 +229,22 @@ class TestAgainstNelderMead:
 class TestBatch:
     def test_corpus_equals_single_item_and_threaded_fits(self):
         items = synthgen.simulate_corpus(synthgen.default_spec(300, 4))[0].items
-        batched = fit_wsb_corpus(items, m=30.0)
-        threaded = fit_wsb_corpus(items, m=30.0, jobs=2)
-        for item, a, b in zip(items, batched, threaded):
+        y = np.asarray([it.counts for it in items], dtype=float)
+        batched = fit_wsb_corpus(y, m=30.0)
+        threaded = fit_wsb_corpus(y, m=30.0, jobs=2)
+        for column, other in zip(batched, threaded):
+            assert np.array_equal(column, other)
+        for i, item in enumerate(items):
+            if item.total < 1:
+                continue
             single = fit_wsb(item, m=30.0)
-            for other in (b, single):
-                assert other.params == a.params
-                assert other.objective == a.objective
-                assert other.converged == a.converged
-                assert other.mse == a.mse
-                assert np.array_equal(other.annual_fitted, a.annual_fitted)
-
-    def test_mixed_lengths_keep_input_order(self):
-        items = [
-            CountTrajectory("long", (3, 5, 4, 2, 1, 1, 0, 0, 0, 0)),
-            CountTrajectory("short", (2, 4, 3, 1, 0, 0)),
-            CountTrajectory("zero", (0,) * 6),
-        ]
-        fits = fit_wsb_corpus(items, m=30.0)
-        assert [f.id for f in fits] == ["long", "short", "zero"]
-        assert [len(f.annual_fitted) for f in fits] == [10, 6, 6]
-        assert fits[1].objective == fit_wsb(items[1], m=30.0).objective
+            assert (single.params.lam, single.params.mu, single.params.sigma) == (
+                batched.lam[i], batched.mu[i], batched.sigma[i])
+            assert single.objective == batched.objective[i]
+            assert single.converged == batched.converged[i]
+            # The batched MSE comes from the columnar curve; the one-item
+            # view's curve is wsb_cumulative differenced.
+            assert single.mse == batched.mse[i] == np.mean((y[i] - single.annual_fitted) ** 2)
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -262,70 +265,35 @@ def test_import_does_not_load_scipy_optimize():
 
 class TestCompare:
     def test_identical_curves_on_diagonal(self, planted):
-        from citetraj.wsb import WsbFit
-
-        fits = planted["fits"][:20]
-        wsb_fits = [
-            WsbFit(
-                id=f.id,
-                params=WsbParams(1.0, 0.5, 1.0, 30.0),
-                cumulative_fitted=np.cumsum(f.intensity),
-                annual_fitted=f.intensity,
-                mse=f.mse,
-                converged=True,
-                objective=0.0,
-            )
-            for f in fits
-        ]
-        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+        mse = [f.mse for f in planted["fits"][:20]]
+        table = compare_models(mse, mse)
         assert table.log10_mse_wsb == pytest.approx(table.log10_mse_fpca)
 
     def test_mse_floor_applied(self, planted):
-        from citetraj.wsb import WsbFit
-
         fits = planted["fits"][:3]
-        wsb_fits = [
-            WsbFit(id=f.id, params=WsbParams(1.0, 0.5, 1.0, 30.0),
-                   cumulative_fitted=np.zeros(30), annual_fitted=np.zeros(30),
-                   mse=0.0, converged=True, objective=0.0)
-            for f in fits
-        ]
-        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+        table = compare_models(np.zeros(3), [f.mse for f in fits])
         assert table.log10_mse_wsb.tolist() == pytest.approx([-12.0] * 3)
-
-    def test_id_mismatch_lists_difference(self, planted):
-        from citetraj.wsb import WsbFit
-
-        fits = planted["fits"][:3]
-        wsb_fits = [
-            WsbFit(id="stranger", params=WsbParams(1.0, 0.5, 1.0, 30.0),
-                   cumulative_fitted=np.zeros(30), annual_fitted=np.zeros(30),
-                   mse=1.0, converged=True, objective=0.0)
-        ]
-        with pytest.raises(DataError, match="stranger"):
-            compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
 
     def test_mse_count_must_match_ids(self, planted):
         fits = planted["fits"][:3]
-        wsb_fits = fit_wsb_corpus(planted["corpus"].items[:3], m=30.0)
-        with pytest.raises(DataError, match="2 functional-fit MSEs for 3 ids"):
-            compare_models([f.id for f in fits], [f.mse for f in fits[:2]], wsb_fits)
+        wsb_fit = fit_wsb_corpus([it.counts for it in planted["corpus"].items[:3]], m=30.0)
+        with pytest.raises(DataError, match="2 functional-fit MSEs for 3 WSB fits"):
+            compare_models(wsb_fit.mse, [f.mse for f in fits[:2]])
 
     def test_empty_intersection(self):
         with pytest.raises(DataError):
-            compare_models([], [], [])
+            compare_models([], [])
+
+    @staticmethod
+    def planted_table(planted, n=120):
+        wsb_fit = fit_wsb_corpus([it.counts for it in planted["corpus"].items[:n]], m=30.0)
+        return compare_models(wsb_fit.mse, [f.mse for f in planted["fits"][:n]])
 
     def test_kde_curves_integrate_to_one(self, planted):
-        items = planted["corpus"].items[:120]
-        fits = planted["fits"][:120]
-        wsb_fits = fit_wsb_corpus(items, m=30.0)
-        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+        table = self.planted_table(planted)
         for kde in (table.kde_wsb, table.kde_fpca):
             assert 0.98 <= kde.integral() <= 1.0
 
     def test_fpca_generated_corpus_favors_fpca(self, planted):
-        items = planted["corpus"].items[:120]
-        fits = planted["fits"][:120]
-        wsb_fits = fit_wsb_corpus(items, m=30.0)
-        table = compare_models([f.id for f in fits], [f.mse for f in fits], wsb_fits)
+        table = self.planted_table(planted)
         assert table.median_log10_mse_fpca <= table.median_log10_mse_wsb
