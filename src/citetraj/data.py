@@ -13,7 +13,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -274,9 +274,14 @@ def cumulative(traj: CountTrajectory) -> np.ndarray:
     return np.cumsum(np.asarray(traj.counts, dtype=np.int64))
 
 
-def counts_matrix(corpus: Corpus) -> np.ndarray:
-    """Stack all items into an (n, T) integer matrix in corpus order."""
-    return np.asarray([item.counts for item in corpus.items], dtype=np.int64)
+def counts_matrix(corpus: Corpus | Sequence[Sequence[int]]) -> np.ndarray:
+    """Stack all items into an (n, T) integer matrix in corpus order.
+
+    Also takes count rows as a model file stores them, so a reader of a
+    stored model need not rebuild and validate the whole corpus.
+    """
+    rows = [item.counts for item in corpus.items] if isinstance(corpus, Corpus) else corpus
+    return np.asarray(rows, dtype=np.int64)
 
 
 def log_matrix(corpus: Corpus) -> np.ndarray:

@@ -138,27 +138,52 @@ def _canonical_bytes(data: dict) -> bytes:
     ).encode("utf-8")
 
 
-def _checksum(data: dict) -> str:
-    body = {k: v for k, v in data.items() if k not in ("checksum", "created_at")}
-    return hashlib.sha256(_canonical_bytes(body)).hexdigest()
+def _members(data: dict) -> dict[str, bytes]:
+    """Each top-level member's canonical ``"key":value`` bytes, encoded once."""
+    return {key: _canonical_bytes({key: value})[1:-1] for key, value in data.items()}
+
+
+def _emit(write, members: dict[str, bytes], skip=()) -> None:
+    """Pass the canonical object of ``members`` (minus ``skip``) to ``write``
+    piece by piece; the pieces are never joined into one copy."""
+    write(b"{")
+    sep = b""
+    for key in sorted(members):
+        if key not in skip:
+            write(sep)
+            write(members[key])
+            sep = b","
+    write(b"}")
+
+
+def _checksum(data: dict, members: dict[str, bytes] | None = None) -> str:
+    """sha256 of the canonical payload, ``checksum`` and ``created_at``
+    excluded; ``members`` are ``_members(data)`` when already encoded."""
+    digest = hashlib.sha256()
+    _emit(digest.update, _members(data) if members is None else members,
+          skip=("checksum", "created_at"))
+    return digest.hexdigest()
 
 
 def save_model(model: ModelFile, path) -> None:
     """Write the model as canonical JSON with an embedded checksum.
 
     Floats serialize via shortest round-trip repr, so save -> load -> save
-    is byte-identical (the stored timestamp is preserved as-is).  The bytes
+    is byte-identical (the stored timestamp is preserved as-is).  Each
+    member is encoded once, for both the checksum and the file.  The bytes
     go to a temporary file beside ``path`` that then replaces it, so an
     interrupted write leaves any previous file intact.
     """
     data = dict(model.data)
     data["schema_version"] = SCHEMA_VERSION
     data.setdefault("created_at", _now())
-    data["checksum"] = _checksum(data)
+    members = _members(data)
+    members.update(_members({"checksum": _checksum(data, members)}))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_canonical_bytes(data) + b"\n")
+            _emit(fh.write, members)
+            fh.write(b"\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -200,6 +225,12 @@ def _now() -> str:
 def _floats(arr) -> list:
     """JSON-ready floats; non-finite values become None (null)."""
     return [v if math.isfinite(v) else None for v in map(float, arr)]
+
+
+def _float_rows(arr: np.ndarray) -> list:
+    """Rows of a 2-D float array as ``_floats`` lists; one ``tolist`` when
+    every value is finite, which is the common case."""
+    return arr.tolist() if np.isfinite(arr).all() else [_floats(row) for row in arr]
 
 
 def _stage(name: str):
@@ -270,7 +301,7 @@ def cluster_stage(scores: np.ndarray, basis: fpca.LatentBasis,
         config.restarts, config.standardize, _shape_thresholds(config),
     )
     return {
-        "centroids": [_floats(c) for c in model.centroids],
+        "centroids": _float_rows(model.centroids),
         "assignments": [int(a) for a in model.assignments],
         "within_ss": float(model.within_ss),
         "seed": int(model.seed),
@@ -366,7 +397,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         "grid": {"n_years": corpus.grid.n_years},
         "corpus": {
             "ids": list(corpus.ids),
-            "counts": [list(map(int, it.counts)) for it in corpus.items],
+            "counts": counts_matrix(corpus).tolist(),
             "provenance": corpus.provenance,
         },
         "filter": {
@@ -383,12 +414,12 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         "basis": {
             "k": basis.k,
             "eigenvalues": _floats(basis.eigenvalues),
-            "eigenfunctions": [_floats(row) for row in basis.eigenfunctions],
+            "eigenfunctions": _float_rows(basis.eigenfunctions),
             "fve": _floats(basis.fve),
         },
         "selection": selection,
         "fits": {
-            "scores": [_floats(row) for row in fit.scores],
+            "scores": _float_rows(fit.scores),
             "loglik": _floats(fit.loglik),
             "mse": _floats(fit.mse),
             "iterations": fit.iterations.tolist(),
@@ -434,7 +465,7 @@ def sensitivity(
         basis=basis, thresholds=th_cfg, standardize=cfg.standardize,
     )
 
-    totals = counts_matrix(model.corpus()).sum(axis=1)
+    totals = counts_matrix(model.data["corpus"]["counts"]).sum(axis=1)
     k = cfg.k_clusters
     runs = {}
     for tau in thresholds:

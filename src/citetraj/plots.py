@@ -210,8 +210,7 @@ def _fig_exemplars(model: ModelFile, out: str) -> list[str]:
     labels = model.data.get("item_labels")
     if labels is None:
         raise DataError("cannot plot exemplars: model is missing the 'label' stage output")
-    corpus = model.corpus()
-    counts = counts_matrix(corpus)
+    corpus = model.data["corpus"]
     mse = np.asarray(model.data["fits"]["mse"], dtype=float)
     t = model.grid.points
     chosen: dict[str, int] = {}
@@ -222,16 +221,15 @@ def _fig_exemplars(model: ModelFile, out: str) -> list[str]:
             chosen[taxon] = int(min(idx, key=lambda i: mse[i]))
     if not chosen:
         raise DataError("no labeled items to exemplify")
-    names = [f"{taxon} ({corpus.ids[i]})" for taxon, i in chosen.items()]
-    rows = [
-        [float(t[j])] + [int(counts[i, j]) for i in chosen.values()]
-        for j in range(model.grid.n_years)
-    ]
+    names = [f"{taxon} ({corpus['ids'][i]})" for taxon, i in chosen.items()]
+    # Only the chosen rows are read from the stored counts.
+    counts = counts_matrix([corpus["counts"][i] for i in chosen.values()])
+    rows = [[float(t[j])] + counts[:, j].tolist() for j in range(model.grid.n_years)]
     csv = os.path.join(out, "exemplar_trajectories.csv")
     _write_csv(csv, ["t"] + names, rows)
     svg = os.path.join(out, "exemplar_trajectories.svg")
     line_chart(
-        [(name, t, counts[i]) for name, i in zip(names, chosen.values())],
+        [(name, t, row) for name, row in zip(names, counts)],
         svg, title="Exemplar annual count trajectories",
         xlabel="years since origin", ylabel="annual count",
     )

@@ -35,8 +35,10 @@ __all__ = [
 ETA_OVERFLOW = 700.0
 
 # Rows are fit in fixed-size chunks, which bounds the (chunk, T) and
-# (chunk, K, K) temporaries of a Newton step.
-_CHUNK = 256
+# (chunk, K, K) temporaries of a Newton step (0.25 MB per (chunk, T) array
+# at T=30) while keeping numpy's per-call overhead small.  Results do not
+# depend on the chunk size.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,16 @@ class TrajectoryFit:
     ridged: bool = False
 
 
-def _loglik_rows(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Row-wise log-likelihood sum_t (y_t * eta_t - exp(eta_t)).
+def _loglik_rows(y: np.ndarray, eta: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log-likelihood sum_t (y_t * eta_t - exp(eta_t)); ``lam`` is
+    exp(eta) when the caller already has it.
 
     Rows that overflow yield -inf instead of raising.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ll = np.sum(y * eta - np.exp(eta), axis=1)
+        if lam is None:
+            lam = np.exp(eta)
+        ll = np.sum(y * eta - lam, axis=1)
     ll[~np.isfinite(ll)] = -np.inf
     return ll
 
@@ -97,9 +102,23 @@ def _gradient(y: np.ndarray, lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.einsum("it,kt->ik", y - lam, phi)
 
 
-def _neg_hessian(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Row-wise negative Hessian -H_ikl = sum_t lam_it phi_k(t) phi_l(t)."""
-    return np.einsum("it,kt,lt->ikl", lam, phi, phi)
+def _phi_products(phi: np.ndarray) -> np.ndarray:
+    """(T, K*K) matrix with entry [t, k*K + l] = phi_k(t) * phi_l(t)."""
+    k, t = phi.shape
+    return (phi[:, None, :] * phi[None, :, :]).reshape(k * k, t).T
+
+
+def _neg_hessian(lam: np.ndarray, phi: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise negative Hessian -H_ikl = sum_t lam_it phi_k(t) phi_l(t).
+
+    One vector-matrix product per row against ``prod`` (``_phi_products(phi)``),
+    so a row's result does not depend on the rows beside it; a plain 2-D
+    ``lam @ prod`` would not promise that.
+    """
+    k = phi.shape[0]
+    if prod is None:
+        prod = _phi_products(phi)
+    return (lam[:, None, :] @ prod).reshape(len(lam), k, k)
 
 
 def _guard(eta: np.ndarray) -> None:
@@ -136,63 +155,74 @@ def loglik_grad_hess(counts, eta, basis: LatentBasis):
 def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     """Newton-with-step-halving over a batch of items sharing one basis.
 
-    Every reduction runs per item (einsum with fixed loop order), so an
-    item's result does not depend on which batch it was computed in.
-    Accepted iterates always have finite, increasing objective, so only the
-    starting point can sit beyond the overflow guard; such items are flagged
-    for the ridge fallback instead of raising.
+    Every reduction runs per item (einsum, and per-row vector-matrix products
+    for the Hessian), so an item's result does not depend on which batch it
+    was computed in.  The current iterate's eta, exp(eta) and objective are
+    those of the trial step that was accepted, not computed again.
+    Accepted steps never lower the objective, yet an iterate can still sit
+    beyond the overflow guard: the starting point; a step that lands eta in
+    (ETA_OVERFLOW, 709], where exp and the objective are still finite; or a
+    full step taken from an objective that is already -inf (y * eta
+    overflowed), which the ulp-scaled tolerance accepts whatever its value.
+    Such items are flagged for the ridge fallback at their next iteration
+    instead of raising.
     Returns (scores, iterations, converged, needs_fallback).
     """
     phi = basis.eigenfunctions
+    prod = _phi_products(phi)
     m = y.shape[0]
     k = phi.shape[0]
     s = s0.copy()
     iters = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     fallback = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
 
-    def objective(yy, scores, eta):
-        ll = _loglik_rows(yy, eta)
+    def exp(eta):
+        with np.errstate(over="ignore"):
+            return np.exp(eta)
+
+    def objective(yy, scores, eta, lam):
+        ll = _loglik_rows(yy, eta, lam)
         if ridge:
-            ll = ll - 0.5 * ridge * np.sum(scores * scores, axis=1)
+            with np.errstate(over="ignore"):
+                ll = ll - 0.5 * ridge * np.sum(scores * scores, axis=1)
         return ll
 
     def gradient(yy, scores, lam):
         grad = _gradient(yy, lam, phi)
         return grad - ridge * scores if ridge else grad
 
+    # The rows still stepping: their index, scores, eta, exp(eta), counts
+    # and objective.
+    idx, sa, ya = np.arange(m), s0, y
+    eta = basis.eta(sa)
+    lam = exp(eta)
+    ll = objective(ya, sa, eta, lam)
     for _ in range(opts.max_iter):
-        if not active.any():
+        if idx.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        sa = s[idx]
-        eta = basis.eta(sa)
         over = eta.max(axis=1) > ETA_OVERFLOW
         if over.any():
             fallback[idx[over]] = True
-            active[idx[over]] = False
-            idx = idx[~over]
+            keep = ~over
+            idx, sa, eta, lam, ya, ll = (
+                idx[keep], sa[keep], eta[keep], lam[keep], ya[keep], ll[keep],
+            )
             if idx.size == 0:
-                continue
-            sa = s[idx]
-            eta = eta[~over]
-        ya = y[idx]
-        lam = np.exp(eta)
+                break
         grad = gradient(ya, sa, lam)
         gnorm = np.abs(grad).max(axis=1) if k else np.zeros(len(idx))
         done = gnorm < opts.grad_tol
         if done.any():
             converged[idx[done]] = True
-            active[idx[done]] = False
             keep = ~done
-            idx, sa, eta, lam, ya, grad = (
-                idx[keep], sa[keep], eta[keep], lam[keep], ya[keep], grad[keep],
+            idx, sa, lam, ya, ll, grad = (
+                idx[keep], sa[keep], lam[keep], ya[keep], ll[keep], grad[keep],
             )
             if idx.size == 0:
-                continue
+                break
         # Formed only for items that still step: it is the costliest term.
-        neg_hess = _neg_hessian(lam, phi)
+        neg_hess = _neg_hessian(lam, phi, prod)
         if ridge:
             neg_hess = neg_hess + ridge * np.eye(k)[None, :, :]
         try:
@@ -206,52 +236,54 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
                     direction[row] = np.nan
             bad = ~np.isfinite(direction).all(axis=1)
             fallback[idx[bad]] = True
-            active[idx[bad]] = False
             keep = ~bad
-            idx, sa, eta, ya, direction = (
-                idx[keep], sa[keep], eta[keep], ya[keep], direction[keep],
+            idx, sa, ya, ll, direction = (
+                idx[keep], sa[keep], ya[keep], ll[keep], direction[keep],
             )
             if idx.size == 0:
-                continue
-        ll = objective(ya, sa, eta)
-
-        alpha = np.ones(len(idx))
-        improved = np.zeros(len(idx), dtype=bool)
-        new_s = sa.copy()
-        for _halving in range(opts.max_halvings + 1):
-            todo = ~improved
-            if not todo.any():
                 break
-            trial = sa[todo] + alpha[todo, None] * direction[todo]
-            trial_ll = objective(ya[todo], trial, basis.eta(trial))
-            if _halving == 0:
-                # Right at the optimum the objective is float-flat: the full
-                # Newton step can read as a few ulps "worse" although the
-                # gradient still contracts quadratically.  Accept it within
-                # an ulp-scaled tolerance; halved steps must make strict
-                # progress.
-                tol = 1e-13 * np.maximum(1.0, np.abs(ll[todo]))
-                better = trial_ll >= ll[todo] - tol
-            else:
-                better = trial_ll > ll[todo]
-            where = np.nonzero(todo)[0][better]
+
+        # Right at the optimum the objective is float-flat: the full Newton
+        # step can read as a few ulps "worse" although the gradient still
+        # contracts quadratically.  Accept it within an ulp-scaled tolerance;
+        # halved steps must make strict progress.
+        new_s = sa + direction
+        new_eta = basis.eta(new_s)
+        new_lam = exp(new_eta)
+        new_ll = objective(ya, new_s, new_eta, new_lam)
+        improved = new_ll >= ll - 1e-13 * np.maximum(1.0, np.abs(ll))
+        new_s[~improved] = sa[~improved]
+        alpha = 1.0
+        for _halving in range(opts.max_halvings):
+            todo = np.nonzero(~improved)[0]
+            if todo.size == 0:
+                break
+            alpha *= 0.5
+            trial = sa[todo] + alpha * direction[todo]
+            trial_eta = basis.eta(trial)
+            trial_lam = exp(trial_eta)
+            trial_ll = objective(ya[todo], trial, trial_eta, trial_lam)
+            better = trial_ll > ll[todo]
+            where = todo[better]
             new_s[where] = trial[better]
+            new_eta[where] = trial_eta[better]
+            new_lam[where] = trial_lam[better]
+            new_ll[where] = trial_ll[better]
             improved[where] = True
-            alpha[~improved] *= 0.5
 
         iters[idx[improved]] += 1
-        # Stalled items cannot improve the objective; stop them unconverged.
-        stalled = ~improved
-        active[idx[stalled]] = False
         step = np.abs(new_s - sa).max(axis=1) if k else np.zeros(len(idx))
         s[idx] = new_s
         tiny = improved & (step < opts.step_tol)
         if tiny.any():
             # Final gradient check so the converged flag keeps its meaning.
-            s_t = new_s[tiny]
-            g_t = gradient(y[idx[tiny]], s_t, np.exp(basis.eta(s_t)))
+            g_t = gradient(ya[tiny], new_s[tiny], new_lam[tiny])
             converged[idx[tiny]] = np.abs(g_t).max(axis=1) < opts.grad_tol
-            active[idx[tiny]] = False
+        # Stalled items cannot improve the objective; stop them unconverged.
+        keep = improved & ~tiny
+        idx, sa, eta, lam, ya, ll = (
+            idx[keep], new_s[keep], new_eta[keep], new_lam[keep], ya[keep], new_ll[keep],
+        )
 
     return s, iters, converged, fallback
 

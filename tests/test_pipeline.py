@@ -16,7 +16,9 @@ from citetraj.pipeline import (
     save_model,
     sensitivity,
 )
-from citetraj.pipeline import _checksum, _canonical_bytes, SCHEMA_VERSION
+from citetraj.pipeline import (
+    SCHEMA_VERSION, _canonical_bytes, _checksum, _float_rows, _floats,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,20 @@ class TestPersistence:
         data = json.loads(path.read_text(), parse_constant=reject)
         assert data["fits"]["loglik"][0] is None
         assert load_model(path).data["fits"]["loglik"][0] is None
+
+    def test_save_writes_the_canonical_encoding(self, model, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        data = {**model.data, "schema_version": SCHEMA_VERSION}
+        expected = _canonical_bytes({**data, "checksum": _checksum(data)}) + b"\n"
+        assert path.read_bytes() == expected
+
+    def test_float_rows_store_non_finite_values_as_null(self):
+        rows = np.array([[1.5, np.nan], [-np.inf, -0.0]])
+        assert _float_rows(rows) == [[1.5, None], [None, -0.0]]
+        assert _float_rows(rows[:, :0]) == [[], []]
+        finite = np.array([[0.1, -2.0], [1e300, 5e-324]])
+        assert _float_rows(finite) == [_floats(row) for row in finite]
 
     def test_save_load_save_identical_bytes(self, model, tmp_path):
         p1 = tmp_path / "m1.json"

@@ -245,6 +245,67 @@ class TestFitCorpus:
         assert summary["convergence_rate"] > 0.99
 
 
+class TestKernel:
+    def test_fit_matrix_independent_of_chunk_size(self, planted, monkeypatch):
+        from citetraj import poisson
+
+        y = np.asarray([it.counts for it in planted["corpus"].items], dtype=float)
+        reference = fit_matrix(y, planted["basis"])
+        for chunk in (1, 7):
+            monkeypatch.setattr(poisson, "_CHUNK", chunk)
+            fit = fit_matrix(y, planted["basis"])
+            for name, column in fit._asdict().items():
+                assert np.array_equal(column, getattr(reference, name)), (chunk, name)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_neg_hessian_matches_einsum_and_is_row_independent(self, k):
+        from citetraj.poisson import _neg_hessian, _phi_products
+
+        t = 30
+        phi = make_basis(t, k, "poly") if k else np.zeros((0, t))
+        rng = np.random.default_rng(k)
+        lam = np.exp(rng.normal(1.0, 2.0, size=(37, t)))
+        h = _neg_hessian(lam, phi)
+        assert h.shape == (37, k, k)
+        ref = np.einsum("it,kt,lt->ikl", lam, phi, phi)
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True) if k else 1.0
+        assert np.all(np.abs(h - ref) <= 1e-13 * scale)
+        assert np.array_equal(h, np.swapaxes(h, 1, 2))
+        prod = _phi_products(phi)
+        for rows in (slice(0, 1), slice(0, 5), slice(3, 4), slice(5, 37)):
+            assert np.array_equal(_neg_hessian(lam[rows], phi, prod), h[rows])
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_halved_steps_reach_the_score_equations(self, k):
+        # A lone spike puts the projected start far from the optimum, so the
+        # full Newton step overshoots and only halved steps are accepted.
+        t = 30
+        basis = basis_from(make_basis(t, k, "poly"), t)
+        y = np.zeros((4, t))
+        y[0, 3], y[1, 20], y[2, :5], y[3, -1] = 1000, 5000, 300, 80
+        fit = fit_matrix(y, basis)
+        assert fit.converged.all() and not fit.ridged.any()
+        for i in range(4):
+            grad, _ = loglik_grad_hess(y[i], basis.eta(fit.scores[i:i + 1])[0], basis)
+            assert np.abs(grad).max() < 1e-7
+            single = fit_matrix(y[i:i + 1], basis)
+            assert np.array_equal(single.scores[0], fit.scores[i])
+            assert single.iterations[0] == fit.iterations[i]
+
+    def test_ridge_fallback_row_matches_its_one_row_fit(self, planted):
+        # A count of 1e307 makes y * eta overflow at the start; the row is
+        # flagged at its second iteration and refit with the ridge penalty.
+        y = np.asarray([it.counts for it in planted["corpus"].items[:5]], dtype=float)
+        y[2, 6] = 1e307
+        with np.errstate(over="ignore"):
+            fit = fit_matrix(y, planted["basis"])
+            single = fit_matrix(y[2:3], planted["basis"])
+        assert fit.ridged.tolist() == [False, False, True, False, False]
+        assert fit.iterations.tolist() == [3, 3, 1, 3, 4]
+        for name, column in fit._asdict().items():
+            assert np.array_equal(column[2:3], getattr(single, name)), name
+
+
 class TestMse:
     def test_perfect_fit(self):
         # a fit whose intensity equals the counts exactly has zero error
