@@ -2,8 +2,9 @@
 
 A trajectory is one item's annual nonnegative event counts (prototypically
 the yearly citations of a paper) observed at years 1..T after its origin.
-This module handles ingestion (CSV / JSONL), validation, filtering, and the
-elementary transforms the model pipeline builds on.
+This module alone builds a corpus's read-only (n, T) int64 count matrix: it
+parses (CSV / JSONL), validates, filters and transforms it.  Counts are at
+most 2**53, the largest integer float64 holds exactly; later stages are float64.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "MAX_COUNT",
     "TimeGrid",
     "CountTrajectory",
     "Corpus",
@@ -27,10 +30,11 @@ __all__ = [
     "parse_corpus",
     "write_corpus",
     "filter_by_total",
-    "cumulative",
     "counts_matrix",
     "log_matrix",
 ]
+
+MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CountTrajectory:
-    """One item: opaque id plus annual counts on the corpus grid."""
+    """One item's id and annual counts, as ``fit_items``/``fit_wsb`` take it."""
 
     id: str
     counts: tuple[int, ...]
@@ -68,36 +72,41 @@ class CountTrajectory:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable collection of trajectories sharing one grid."""
+    """Items sharing one grid: ``ids`` (a tuple of str) and ``counts``, a
+    read-only (n, T) int64 matrix whose row i holds the counts of item
+    ``ids[i]``, each in [0, 2**53].  Ids are unique; row order is corpus
+    order.  ``counts`` is a private copy of what the caller passed."""
 
     grid: TimeGrid
-    items: tuple[CountTrajectory, ...]
+    ids: tuple[str, ...]
+    counts: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
-        t = self.grid.n_years
-        for item in self.items:
-            if len(item.counts) != t:
-                raise DataError(
-                    f"item {item.id!r} has {len(item.counts)} counts, grid has {t}"
-                )
-        ids = [item.id for item in self.items]
+        t, ids = self.grid.n_years, tuple(self.ids)
+        counts = np.asarray(self.counts)
+        if counts.shape != (len(ids), t) or counts.dtype.kind not in "iu":
+            raise DataError(
+                f"counts must be a ({len(ids)}, {t}) integer matrix for {len(ids)} ids "
+                f"on a {t}-year grid, got {counts.dtype} of shape {counts.shape}"
+            )
+        bad = np.flatnonzero(((counts < 0) | (counts > MAX_COUNT)).any(axis=1))
+        if bad.size:
+            what = "a negative count" if counts[bad[0]].min() < 0 else "a count above 2**53"
+            raise DataError(f"item {ids[bad[0]]!r} has {what}")
         if len(set(ids)) != len(ids):
-            seen, dups = set(), []
-            for i in ids:
-                if i in seen:
-                    dups.append(i)
-                seen.add(i)
-            raise DataError(f"duplicate ids: {sorted(set(dups))}")
+            dups = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise DataError(f"duplicate ids: {dups}")
+        # A copy unless asarray made one already, so no caller holds a writable view.
+        counts = counts.astype(np.int64, copy=counts is self.counts)
+        counts.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def ids(self) -> list[str]:
-        return [item.id for item in self.items]
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -107,17 +116,43 @@ class FilterResult:
     dropped: int
 
 
-def _parse_count(token: str, line_no: int, item_id: str) -> int:
-    token = token.strip()
+def _check_count(value, line_no: int, item_id: str) -> None:
+    if type(value) is not int:  # not isinstance: a JSON true is a bool, an int subclass
+        raise DataError(f"line {line_no}: item {item_id!r}: count {value!r} is not an integer")
+    if value < 0:
+        raise DataError(f"line {line_no}: item {item_id!r}: negative count {value}")
+    if value > MAX_COUNT:
+        raise DataError(f"line {line_no}: item {item_id!r}: count {value} exceeds 2**53")
+
+
+def _check_token(token: str, line_no: int, item_id: str) -> None:
     try:
         value = int(token)
     except ValueError:
-        raise DataError(
-            f"line {line_no}: item {item_id!r}: count {token!r} is not an integer"
-        ) from None
-    if value < 0:
-        raise DataError(f"line {line_no}: item {item_id!r}: negative count {value}")
-    return value
+        value = token.strip()  # reported as not an integer
+    _check_count(value, line_no, item_id)
+
+
+def _corpus_of_records(t: int, records, to_row, check, provenance: str) -> Corpus:
+    """Corpus of ``(line_no, item_id, raw counts)`` records.  ``to_row``
+    maps raw counts to a list of ints, or to None or a ValueError if one is
+    malformed; ``check`` raises on the first bad count of a faulty row."""
+    ids, rows = [], []
+    for line_no, item_id, raw in records:
+        if len(raw) != t:
+            raise DataError(
+                f"line {line_no}: item {item_id!r} has {len(raw)} counts, expected {t}"
+            )
+        try:
+            row = to_row(raw)
+        except ValueError:
+            row = None
+        if row is None or min(row) < 0 or max(row) > MAX_COUNT:
+            for value in raw:
+                check(value, line_no, item_id)
+        ids.append(item_id)
+        rows.append(row)
+    return Corpus(TimeGrid(t), ids, np.asarray(rows, np.int64).reshape(len(rows), t), provenance)
 
 
 def _as_text(source) -> str:
@@ -147,7 +182,8 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
 
     JSONL carries one ``{"id": str, "counts": [int, ...]}`` object per line.
     The first record fixes the grid length T; every later row must match it.
-    Row order is preserved. Errors report the offending line number.
+    Counts must be integers in [0, 2**53].  Row order is preserved.  Errors
+    report the offending line number.
     """
     text = _as_text(source)
     if format == "csv":
@@ -178,18 +214,10 @@ def _parse_csv(text: str, provenance: str) -> Corpus:
         raise DataError(
             f"line {header_no}: expected header 'id,y1,...,yT', got {','.join(header)!r}"
         )
-    t = len(cols) - 1
-    items = []
-    for line_no, fields in rows[1:]:
-        item_id = fields[0]
-        if len(fields) != t + 1:
-            raise DataError(
-                f"line {line_no}: item {item_id!r} has {len(fields) - 1} counts, "
-                f"expected {t}"
-            )
-        counts = tuple(_parse_count(tok, line_no, item_id) for tok in fields[1:])
-        items.append(CountTrajectory(item_id, counts))
-    return Corpus(TimeGrid(t), tuple(items), provenance)
+    records = [(line_no, fields[0], fields[1:]) for line_no, fields in rows[1:]]
+    return _corpus_of_records(
+        len(cols) - 1, records, lambda raw: list(map(int, raw)), _check_token, provenance
+    )
 
 
 def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
@@ -201,36 +229,24 @@ def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"line {i}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "id" not in obj or "counts" not in obj:
-            raise DataError(f"line {i}: expected object with 'id' and 'counts'")
+        if not isinstance(obj, dict) or "id" not in obj or type(obj.get("counts")) is not list:
+            raise DataError(f"line {i}: expected object with 'id' and a 'counts' list")
         records.append((i, str(obj["id"]), obj["counts"]))
     if not records:
         raise DataError("empty JSONL corpus")
     t = len(records[0][2])
     if t < 2:
         raise DataError(f"line {records[0][0]}: grid needs at least 2 years, got {t}")
-    items = []
-    for line_no, item_id, raw in records:
-        if len(raw) != t:
-            raise DataError(
-                f"line {line_no}: item {item_id!r} has {len(raw)} counts, expected {t}"
-            )
-        counts = []
-        for c in raw:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise DataError(
-                    f"line {line_no}: item {item_id!r}: count {c!r} is not an integer"
-                )
-            if c < 0:
-                raise DataError(f"line {line_no}: item {item_id!r}: negative count {c}")
-            counts.append(c)
-        items.append(CountTrajectory(item_id, tuple(counts)))
-    return Corpus(TimeGrid(t), tuple(items), provenance)
+    return _corpus_of_records(
+        t, records, lambda raw: raw if set(map(type, raw)) == {int} else None,
+        _check_count, provenance,
+    )
 
 
 def write_corpus(corpus: Corpus, target, format: str = "csv") -> None:
     """Serialize a corpus; inverse of :func:`parse_corpus` for both formats."""
     t = corpus.grid.n_years
+    rows = zip(corpus.ids, corpus.counts.tolist())
     buf = io.StringIO()
     if format == "csv":
         writer = csv.writer(buf, lineterminator="\n")
@@ -238,11 +254,11 @@ def write_corpus(corpus: Corpus, target, format: str = "csv") -> None:
         # the reader also ends a record on a lone carriage return.
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(["id"] + [f"y{j}" for j in range(1, t + 1)])
-        for item in corpus.items:
-            (quoted if "\r" in item.id else writer).writerow([item.id, *item.counts])
+        for item_id, counts in rows:
+            (quoted if "\r" in item_id else writer).writerow([item_id, *counts])
     elif format == "jsonl":
-        for item in corpus.items:
-            buf.write(json.dumps({"id": item.id, "counts": list(item.counts)}) + "\n")
+        for item_id, counts in rows:
+            buf.write(json.dumps({"id": item_id, "counts": counts}) + "\n")
     else:
         raise DataError(f"unknown corpus format {format!r}")
     payload = buf.getvalue()
@@ -261,30 +277,19 @@ def filter_by_total(corpus: Corpus, min_total: int) -> FilterResult:
     """Keep items whose summed counts reach ``min_total``; order preserved."""
     if min_total < 0:
         raise DataError(f"min_total must be nonnegative, got {min_total}")
-    kept = tuple(item for item in corpus.items if item.total >= min_total)
-    return FilterResult(
-        corpus=Corpus(corpus.grid, kept, corpus.provenance),
-        kept=len(kept),
-        dropped=len(corpus.items) - len(kept),
-    )
+    keep = corpus.counts.sum(axis=1) >= min_total
+    ids = [i for i, k in zip(corpus.ids, keep) if k]
+    subset = Corpus(corpus.grid, ids, corpus.counts[keep], corpus.provenance)
+    return FilterResult(corpus=subset, kept=len(subset), dropped=len(corpus) - len(subset))
 
 
-def cumulative(traj: CountTrajectory) -> np.ndarray:
-    """Prefix sums of the annual counts; last entry equals the total."""
-    return np.cumsum(np.asarray(traj.counts, dtype=np.int64))
-
-
-def counts_matrix(corpus: Corpus | Sequence[Sequence[int]]) -> np.ndarray:
-    """Stack all items into an (n, T) integer matrix in corpus order.
-
-    Also takes count rows as a model file stores them, so a reader of a
-    stored model need not rebuild and validate the whole corpus.
-    """
-    rows = [item.counts for item in corpus.items] if isinstance(corpus, Corpus) else corpus
+def counts_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Count rows as a model file stores them, as an (n, T) int64 matrix, so
+    a reader of a stored model need not rebuild and validate the corpus."""
     return np.asarray(rows, dtype=np.int64)
 
 
 def log_matrix(corpus: Corpus) -> np.ndarray:
     """(n, T) matrix of ln(count + 1) values in corpus order; zero counts
     map to exactly 0."""
-    return np.log1p(counts_matrix(corpus).astype(float))
+    return np.log1p(corpus.counts)

@@ -9,7 +9,7 @@ maximum likelihood, so the basis only has to capture the curve geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class LatentBasis:
 
 
 def estimate_mean(corpus: Corpus, bandwidth: BandwidthPolicy | None = None) -> SmoothCurve:
-    """Smooth the cross-sectional average of ln(count + 1) curves.
+    """Smooth the yearly average of ln(``corpus.counts`` + 1).
 
     The raw yearly average is smoothed by a local quadratic so the curve's
     derivative comes from the fitted slope rather than finite differences.
@@ -158,7 +158,7 @@ def estimate_mean(corpus: Corpus, bandwidth: BandwidthPolicy | None = None) -> S
 
 
 def covariance_matrix(corpus: Corpus, mean) -> np.ndarray:
-    """Sample covariance of the log curves around the given mean curve.
+    """Sample covariance of the rows of ln(``corpus.counts`` + 1) around ``mean``.
 
     C(t_j, t_l) = sum_i (z_ij - mean_j)(z_il - mean_l) / (n - 1), exactly
     symmetrized to absorb BLAS rounding.
@@ -282,8 +282,8 @@ def select_k_loglik(
 ) -> SelectionTable:
     """Score nested basis sizes by in-sample per-item Poisson log-likelihood.
 
-    For each K the items are fit (scores only) on the first K
-    eigenfunctions, and each contributes its own maximized log-likelihood.
+    For each K the rows of ``corpus.counts`` are fit (scores only) on the
+    first K eigenfunctions; each contributes its own maximized log-likelihood.
     Scores are free per-item parameters, so an item's fit uses no other
     item's data: a held-out fit would equal this in-sample one.
     AIC = -2 * (mean log-likelihood) + 2K, recommended K = argmin AIC with
@@ -303,7 +303,7 @@ def select_k_loglik(
         )
     if len(corpus) == 0:
         raise DataError("cannot select K on an empty corpus")
-    y = np.asarray([item.counts for item in corpus.items], dtype=float)
+    y = corpus.counts.astype(float)
     rows = []
     fits = {}
     for k in ks:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -21,9 +21,8 @@ import numpy as np
 
 from . import clustering as clus
 from . import fpca, poisson, wsb
-from .data import Corpus, CountTrajectory, TimeGrid, counts_matrix, filter_by_total, parse_corpus
+from .data import Corpus, TimeGrid, counts_matrix, filter_by_total, parse_corpus
 from .errors import ConfigError, DataError, StageError
-from .smoothing import SmoothCurve
 
 __all__ = [
     "PipelineConfig",
@@ -76,6 +75,8 @@ class PipelineConfig:
             raise ConfigError("jobs must be >= 1")
         if self.eval_grid < 8:
             raise ConfigError("eval-grid must be >= 8")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
 
 
 @dataclass
@@ -90,11 +91,7 @@ class ModelFile:
 
     def corpus(self) -> Corpus:
         c = self.data["corpus"]
-        items = tuple(
-            CountTrajectory(i, tuple(int(x) for x in row))
-            for i, row in zip(c["ids"], c["counts"])
-        )
-        return Corpus(self.grid, items, c.get("provenance", ""))
+        return Corpus(self.grid, c["ids"], c["counts"], c.get("provenance", ""))
 
     def basis(self) -> fpca.LatentBasis:
         b = self.data["basis"]
@@ -104,11 +101,8 @@ class ModelFile:
             mean=np.asarray(m["values"], dtype=float),
             mean_derivative=np.asarray(m["derivative"], dtype=float),
             eigenvalues=np.asarray(b["eigenvalues"], dtype=float),
-            eigenfunctions=np.asarray(b["eigenfunctions"], dtype=float).reshape(
-                len(b["eigenvalues"]), -1
-            )
-            if b["eigenvalues"]
-            else np.zeros((0, self.grid.n_years)),
+            # LatentBasis reshapes the rows to (K, T), an empty list to (0, T).
+            eigenfunctions=np.asarray(b["eigenfunctions"], dtype=float),
             fve=np.asarray(b["fve"], dtype=float),
             mean_bandwidth=float(m["bandwidth"]),
         )
@@ -208,8 +202,11 @@ def load_model(path) -> ModelFile:
     stored = data.get("checksum")
     if stored != _checksum(data):
         raise DataError(f"checksum mismatch in {path}: file is corrupt or edited")
-    # Files written before K selection lost its fold loop echo ``folds``.
+    # Older files may echo ``folds`` (K selection once ran folds) or a
+    # bandwidth of 0, with which the mean stage ran GCV.
     data["config"].pop("folds", None)
+    if data["config"].get("bandwidth") == 0:
+        data["config"]["bandwidth"] = None
     return ModelFile(data)
 
 
@@ -336,7 +333,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
     with _stage("mean"):
         policy = (
             fpca.BandwidthPolicy("fixed", value=config.bandwidth)
-            if config.bandwidth
+            if config.bandwidth is not None
             else fpca.BandwidthPolicy()
         )
         mean = fpca.estimate_mean(corpus, policy)
@@ -344,14 +341,11 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         cov = fpca.covariance_matrix(corpus, mean.values)
         spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
         n_positive = int(np.count_nonzero(np.maximum(spectrum, 0.0) > 0))
-        if config.fve is not None:
-            basis = fpca.truncate_basis(
-                mean, spectrum, functions, fpca.BasisPolicy("fve", tau=config.fve)
-            )
-        else:
-            basis = fpca.truncate_basis(
-                mean, spectrum, functions, fpca.BasisPolicy("fixed", k=config.k_basis)
-            )
+        policy = (
+            fpca.BasisPolicy("fve", tau=config.fve) if config.fve is not None
+            else fpca.BasisPolicy("fixed", k=config.k_basis)
+        )
+        basis = fpca.truncate_basis(mean, spectrum, functions, policy)
     with _stage("selection"):
         selection = None
         selection_fits = {}
@@ -370,12 +364,12 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         # The selection basis nests this one: its fit at K is a fresh fit's.
         fit = selection_fits.get(basis.k)
         if fit is None:
-            fit = poisson.fit_matrix(counts_matrix(corpus), basis)
+            fit = poisson.fit_matrix(corpus.counts, basis)
         fit_summary = poisson.convergence_summary(fit)
     wsb_block = comparison = item_labels = None
     if config.baseline:
         with _stage("baseline"):
-            wsb_block, comparison = baseline_stage(counts_matrix(corpus), fit.mse, config)
+            wsb_block, comparison = baseline_stage(corpus.counts, fit.mse, config)
     with _stage("cluster"):
         entry, cluster_refusal = cluster_stage(fit.scores, basis, config)
         clusters = {config.method: {str(config.k_clusters): entry}} if entry else {}
@@ -397,7 +391,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         "grid": {"n_years": corpus.grid.n_years},
         "corpus": {
             "ids": list(corpus.ids),
-            "counts": counts_matrix(corpus).tolist(),
+            "counts": corpus.counts.tolist(),
             "provenance": corpus.provenance,
         },
         "filter": {

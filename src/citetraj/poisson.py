@@ -335,6 +335,22 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitA
     return fit
 
 
+def _trajectory_fits(ids, y, basis: LatentBasis, options) -> list[TrajectoryFit]:
+    """:func:`fit_matrix` of the count rows ``y`` as one fit per id."""
+    fit = fit_matrix(y, basis, options)
+    eta = basis.eta(fit.scores)
+    intensity = np.exp(eta)
+    return [
+        TrajectoryFit(
+            id=item_id, scores=fit.scores[i], eta=eta[i], intensity=intensity[i],
+            loglik=float(fit.loglik[i]), mse=float(fit.mse[i]),
+            iterations=int(fit.iterations[i]), converged=bool(fit.converged[i]),
+            ridged=bool(fit.ridged[i]),
+        )
+        for i, item_id in enumerate(ids)
+    ]
+
+
 def fit_items(
     items: Sequence[CountTrajectory],
     basis: LatentBasis,
@@ -343,18 +359,7 @@ def fit_items(
     """Fit a list of trajectories (see :func:`fit_matrix`), in order."""
     if not items:
         return []
-    fit = fit_matrix(np.asarray([it.counts for it in items], dtype=float), basis, options)
-    eta = basis.eta(fit.scores)
-    intensity = np.exp(eta)
-    return [
-        TrajectoryFit(
-            id=item.id, scores=fit.scores[i], eta=eta[i], intensity=intensity[i],
-            loglik=float(fit.loglik[i]), mse=float(fit.mse[i]),
-            iterations=int(fit.iterations[i]), converged=bool(fit.converged[i]),
-            ridged=bool(fit.ridged[i]),
-        )
-        for i, item in enumerate(items)
-    ]
+    return _trajectory_fits([it.id for it in items], [it.counts for it in items], basis, options)
 
 
 def fit_corpus(
@@ -363,9 +368,7 @@ def fit_corpus(
     options: FitOptions | None = None,
 ) -> list[TrajectoryFit]:
     """Independent per-item fits for a whole corpus, in corpus order."""
-    if corpus.grid.n_years != basis.grid.n_years:
-        raise DataError("corpus and basis grids disagree")
-    return fit_items(corpus.items, basis, options)
+    return _trajectory_fits(corpus.ids, corpus.counts, basis, options)
 
 
 def convergence_summary(fit: FitArrays) -> dict:

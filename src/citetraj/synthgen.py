@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Corpus, CountTrajectory, TimeGrid
+from .data import Corpus, TimeGrid
 from .errors import ConfigError, DataError
 from .fpca import LatentBasis
 from .clustering import adjusted_rand_index
@@ -271,13 +271,10 @@ def simulate_corpus(spec: GeneratorSpec) -> tuple[Corpus, TruthRecord]:
         )
     counts = rng.poisson(np.exp(eta))
     width = len(str(spec.n_items))
-    items = tuple(
-        CountTrajectory(f"s{i:0{width}d}", tuple(int(c) for c in counts[i]))
-        for i in range(spec.n_items)
-    )
-    corpus = Corpus(grid, items, provenance=f"synthetic seed={spec.seed}")
+    ids = tuple(f"s{i:0{width}d}" for i in range(spec.n_items))
+    corpus = Corpus(grid, ids, counts, provenance=f"synthetic seed={spec.seed}")
     truth = TruthRecord(
-        ids=tuple(it.id for it in items),
+        ids=ids,
         archetypes=tuple(spec.archetypes[a].name for a in arch_idx),
         scores=scores,
         mean=mu,

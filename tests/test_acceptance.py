@@ -253,9 +253,8 @@ def test_criterion_7_wsb_baseline(planted2000):
         abs(fit.params.sigma - truth_params.sigma) / truth_params.sigma,
     )
 
-    items = planted2000["corpus"].items[:400]
     fits = planted2000["fits"][:400]
-    wsb_fit = wsb.fit_wsb_corpus([it.counts for it in items], m=30.0)
+    wsb_fit = wsb.fit_wsb_corpus(planted2000["corpus"].counts[:400], m=30.0)
     table = wsb.compare_models(wsb_fit.mse, [f.mse for f in fits])
     med_ok = table.median_log10_mse_fpca <= table.median_log10_mse_wsb
     integrals = (table.kde_wsb.integral(), table.kde_fpca.integral())

@@ -118,10 +118,11 @@ def test_cluster_adds_method(workspace):
 
 
 def test_cluster_accepts_model_with_stored_folds(workspace, tmp_path):
-    # Model files written while K selection ran a fold loop echo `folds`.
+    # Model files written while K selection ran a fold loop echo `folds`, and
+    # those written before bandwidths were checked may echo a GCV run's 0.
     model = run_pipeline(PipelineConfig(input=str(workspace / "corpus.jsonl"), seed=2,
                                         baseline=False))
-    model.data["config"]["folds"] = 5
+    model.data["config"].update(folds=5, bandwidth=0.0)
     save_model(model, tmp_path / "model.json")
     rc = main(["cluster", "--output-dir", str(tmp_path), "--method", "ward",
                "--k-clusters", "3"])
@@ -129,6 +130,7 @@ def test_cluster_accepts_model_with_stored_folds(workspace, tmp_path):
     data = json.loads((tmp_path / "model.json").read_text())
     assert "3" in data["clusters"]["ward"]
     assert "folds" not in data["config"]
+    assert data["config"]["bandwidth"] is None
 
 
 def test_cluster_honours_restarts(small_corpus, tmp_path):
@@ -239,7 +241,9 @@ def _csv(header_years, rows):
     return "\n".join([head] + [f"p{i}," + ",".join(map(str, r)) for i, r in enumerate(rows)])
 
 
-# (corpus: "head4" for the first 4 items of the small corpus, or CSV text;
+_JSONL_A = '{"id": "a", "counts": [1, 2]}\n'
+
+# (corpus: "head4" for the first 4 items of the small corpus, or CSV or JSONL text;
 #  whether a `fit --no-baseline` model is written first; an edit to that
 #  model; the failing command; its exit code; a fragment of its stderr).
 _FAILURES = {
@@ -255,6 +259,16 @@ _FAILURES = {
                     EXIT_CONFIG, "'2:x'"),
     "empty_k_range": ("head4", True, None, ["sensitivity", "--k-range", "6:2"],
                       EXIT_CONFIG, "need at least one K value"),
+    "zero_bandwidth": ("head4", False, None, ["fit", "--bandwidth", "0"], EXIT_CONFIG,
+                       "bandwidth must be > 0"),
+    "count_beyond_int64": (_csv(5, [(1,) * 5, (1, 2, 99999999999999999999, 0, 0)]), False,
+                           None, ["fit"], EXIT_DATA,
+                           "line 3: item 'p1': count 99999999999999999999 exceeds 2**53"),
+    "jsonl_int_counts": (_JSONL_A + '{"id": "b", "counts": 5}', False, None, ["fit"],
+                         EXIT_DATA, "stage 'ingest': line 2: expected object with 'id' and "
+                         "a 'counts' list"),
+    "jsonl_string_counts": (_JSONL_A + '{"id": "b", "counts": "12"}', False, None, ["ingest"],
+                            EXIT_DATA, "line 2: expected object with 'id' and a 'counts' list"),
 }
 
 
@@ -265,7 +279,7 @@ def test_failure_exit_codes(case, small_corpus, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n".join(small_corpus.read_text().splitlines()[:4]) + "\n")
     else:
-        path = tmp_path / "corpus.csv"
+        path = tmp_path / ("corpus.jsonl" if corpus.startswith("{") else "corpus.csv")
         path.write_text(corpus + "\n")
     out = ["--output-dir", str(tmp_path / "out")]
     if fit_first:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from citetraj import poisson, synthgen
-from citetraj.data import Corpus, CountTrajectory, TimeGrid
+from citetraj.data import Corpus, TimeGrid
 from citetraj.errors import ConfigError, DataError, NumericalError
 from citetraj.fpca import (
     BandwidthPolicy,
@@ -19,8 +19,7 @@ from citetraj.synthgen import Archetype, GeneratorSpec, MeanSpec
 
 def corpus_of(rows, t=None):
     t = t or len(rows[0])
-    items = tuple(CountTrajectory(f"i{k}", tuple(r)) for k, r in enumerate(rows))
-    return Corpus(TimeGrid(t), items)
+    return Corpus(TimeGrid(t), [f"i{k}" for k in range(len(rows))], rows)
 
 
 class TestEstimateMean:
@@ -44,7 +43,7 @@ class TestEstimateMean:
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            estimate_mean(Corpus(TimeGrid(5), ()))
+            estimate_mean(Corpus(TimeGrid(5), (), np.zeros((0, 5), dtype=int)))
 
     def test_monte_carlo_expectation(self):
         """Smoothed mean tracks E[ln(1+count)] computed by quadrature."""

@@ -91,11 +91,11 @@ class TestGradHess:
 
     def test_gradient_small_at_converged_fit(self, planted):
         basis = planted["basis"]
-        lookup = {it.id: it for it in planted["corpus"].items}
+        lookup = dict(zip(planted["corpus"].ids, planted["corpus"].counts))
         for fit in planted["fits"][:100]:
             if not fit.converged:
                 continue
-            counts = np.asarray(lookup[fit.id].counts, dtype=float)
+            counts = lookup[fit.id].astype(float)
             g, _ = loglik_grad_hess(counts, fit.eta, basis)
             assert np.abs(g).max() < 1e-8
 
@@ -137,7 +137,7 @@ class TestFitScores:
         # Newton with step halving is an ascent method: allowing one more
         # iteration never lowers an unridged row's log-likelihood.
         basis = planted["basis"]
-        y = np.asarray([it.counts for it in planted["corpus"].items], dtype=float)
+        y = planted["corpus"].counts.astype(float)
         fits = [fit_matrix(y, basis, FitOptions(max_iter=j)) for j in range(9)]
         unridged = ~np.any([f.ridged for f in fits], axis=0)
         assert unridged.sum() > 0.9 * len(y)
@@ -150,19 +150,19 @@ class TestFitScores:
     def test_score_equations_at_convergence(self, planted):
         basis = planted["basis"]
         phi = basis.eigenfunctions
-        lookup = {it.id: it for it in planted["corpus"].items}
+        lookup = dict(zip(planted["corpus"].ids, planted["corpus"].counts))
         for fit in planted["fits"]:
             if not fit.converged:
                 continue
-            y = np.asarray(lookup[fit.id].counts, dtype=float)
+            y = lookup[fit.id].astype(float)
             residual = phi @ (y - fit.intensity)
             assert np.abs(residual).max() < 1e-6
 
     def test_intensity_and_mse_invariants(self, planted):
-        lookup = {it.id: it for it in planted["corpus"].items}
+        lookup = dict(zip(planted["corpus"].ids, planted["corpus"].counts))
         for fit in planted["fits"][:200]:
             assert np.array_equal(fit.intensity, np.exp(fit.eta))
-            y = np.asarray(lookup[fit.id].counts, dtype=float)
+            y = lookup[fit.id].astype(float)
             assert fit.mse == pytest.approx(
                 float(np.mean((y - fit.intensity) ** 2)), abs=1e-10
             )
@@ -189,7 +189,8 @@ class TestFitCorpus:
         basis = planted["basis"]
         fits = planted["fits"]
         for idx in (0, 57, 255, 256, 399):
-            single = fit_items([corpus.items[idx]], basis)[0]
+            item = CountTrajectory(corpus.ids[idx], tuple(corpus.counts[idx].tolist()))
+            single = fit_items([item], basis)[0]
             assert np.array_equal(fits[idx].scores, single.scores)
             assert fits[idx].loglik == single.loglik
 
@@ -198,7 +199,7 @@ class TestFitCorpus:
         basis = planted["basis"]
         rng = np.random.default_rng(3)
         order = rng.permutation(len(corpus))
-        permuted = Corpus(corpus.grid, tuple(corpus.items[i] for i in order))
+        permuted = Corpus(corpus.grid, [corpus.ids[i] for i in order], corpus.counts[order])
         fits_perm = fit_corpus(permuted, basis)
         by_id = {f.id: f for f in planted["fits"]}
         for fit in fits_perm:
@@ -207,12 +208,13 @@ class TestFitCorpus:
     def test_fit_matrix_matches_fit_items_bitwise(self, planted):
         corpus = planted["corpus"]
         basis = planted["basis"]
-        y = np.asarray([it.counts for it in corpus.items], dtype=float)
-        arrays = fit_matrix(y, basis)
-        fits = fit_items(corpus.items, basis)
+        items = [CountTrajectory(i, tuple(row)) for i, row in
+                 zip(corpus.ids, corpus.counts.tolist())]
+        arrays = fit_matrix(corpus.counts.astype(float), basis)
+        fits = fit_items(items, basis)
         assert arrays.scores.shape == (len(corpus), basis.k)
         for i, fit in enumerate(fits):
-            assert fit.id == corpus.items[i].id
+            assert fit.id == corpus.ids[i]
             assert np.array_equal(fit.scores, arrays.scores[i])
             assert fit.loglik == arrays.loglik[i]
             assert fit.mse == arrays.mse[i]
@@ -239,7 +241,7 @@ class TestFitCorpus:
             assert r > 0.9
 
     def test_summary(self, planted):
-        y = np.asarray([it.counts for it in planted["corpus"].items], dtype=float)
+        y = planted["corpus"].counts.astype(float)
         summary = convergence_summary(fit_matrix(y, planted["basis"]))
         assert summary["n_items"] == 400
         assert summary["convergence_rate"] > 0.99
@@ -249,7 +251,7 @@ class TestKernel:
     def test_fit_matrix_independent_of_chunk_size(self, planted, monkeypatch):
         from citetraj import poisson
 
-        y = np.asarray([it.counts for it in planted["corpus"].items], dtype=float)
+        y = planted["corpus"].counts.astype(float)
         reference = fit_matrix(y, planted["basis"])
         for chunk in (1, 7):
             monkeypatch.setattr(poisson, "_CHUNK", chunk)
@@ -295,7 +297,7 @@ class TestKernel:
     def test_ridge_fallback_row_matches_its_one_row_fit(self, planted):
         # A count of 1e307 makes y * eta overflow at the start; the row is
         # flagged at its second iteration and refit with the ridge penalty.
-        y = np.asarray([it.counts for it in planted["corpus"].items[:5]], dtype=float)
+        y = planted["corpus"].counts[:5].astype(float)
         y[2, 6] = 1e307
         with np.errstate(over="ignore"):
             fit = fit_matrix(y, planted["basis"])
@@ -318,9 +320,8 @@ class TestMse:
         assert fit_items([CountTrajectory("a", (0, 2))], basis)[0].mse == pytest.approx(1.0)
 
     def test_matches_naive_sum(self, planted):
-        item = planted["corpus"].items[3]
+        y = planted["corpus"].counts[3].tolist()
         fit = planted["fits"][3]
-        y = item.counts
         naive = sum((y[j] - fit.intensity[j]) ** 2 for j in range(len(y))) / len(y)
         assert fit.mse == pytest.approx(naive, rel=1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from citetraj import fpca
-from citetraj.data import Corpus, CountTrajectory, TimeGrid
+from citetraj.data import Corpus, TimeGrid
 from citetraj.errors import ConfigError
 from citetraj.synthgen import (
     Archetype,
@@ -60,7 +60,7 @@ class TestSimulate:
         )
         corpus, truth = simulate_corpus(spec)
         assert truth.scores == pytest.approx(np.zeros((40, 2)))
-        counts = np.asarray([it.counts for it in corpus.items])
+        counts = corpus.counts
         assert counts.min() >= 0
         # all rows share one Poisson rate exp(1.0); verify via pooled mean
         assert counts.mean() == pytest.approx(np.e, abs=0.3)
@@ -68,20 +68,21 @@ class TestSimulate:
     def test_fixed_seed_bitwise_identical(self):
         a_corpus, a_truth = simulate_corpus(default_spec(200, seed=9))
         b_corpus, b_truth = simulate_corpus(default_spec(200, seed=9))
-        assert a_corpus.items == b_corpus.items
+        assert a_corpus.ids == b_corpus.ids
+        assert np.array_equal(a_corpus.counts, b_corpus.counts)
         assert np.array_equal(a_truth.scores, b_truth.scores)
         assert a_truth.archetypes == b_truth.archetypes
 
     def test_counts_are_nonnegative_integers(self):
         corpus, truth = simulate_corpus(default_spec(100, seed=2))
-        for item in corpus.items:
-            assert all(isinstance(c, int) and c >= 0 for c in item.counts)
+        assert corpus.counts.dtype == np.int64 and corpus.counts.min() >= 0
+        assert not corpus.counts.flags.writeable
         assert np.isfinite(truth.scores).all()
 
     def test_moment_oracle(self):
         spec = default_spec(5000, seed=77)
         corpus, truth = simulate_corpus(spec)
-        counts = np.asarray([it.counts for it in corpus.items], dtype=float)
+        counts = corpus.counts.astype(float)
         grid = TimeGrid(spec.n_years)
         mu = mean_curve(spec.mean, grid)
         phi = make_basis(spec.n_years, spec.k, spec.basis_family)
@@ -128,10 +129,7 @@ class TestNoiseFloor:
         # noise-free curves through the covariance stage leaves only
         # numerical-noise eigenvalues
         rows = [[3, 5, 8, 9, 7, 4, 2, 1, 1, 0]] * 50
-        corpus = Corpus(
-            TimeGrid(10),
-            tuple(CountTrajectory(f"i{k}", tuple(r)) for k, r in enumerate(rows)),
-        )
+        corpus = Corpus(TimeGrid(10), [f"i{k}" for k in range(len(rows))], rows)
         mean = np.log1p(np.asarray(rows[0], dtype=float))
         cov = fpca.covariance_matrix(corpus, mean)
         values, _ = fpca.eigendecompose_symmetric(cov)

@@ -182,6 +182,11 @@ class TestFit:
         assert f1.objective == f2.objective
 
 
+def items_of(corpus):
+    """The corpus rows as one-item arguments of ``fit_wsb``."""
+    return [CountTrajectory(i, tuple(row)) for i, row in zip(corpus.ids, corpus.counts.tolist())]
+
+
 def nelder_mead_objective(traj, m=30.0):
     """Best-of-starts scipy Nelder-Mead objective: the reference optimizer."""
     from scipy.optimize import minimize
@@ -210,7 +215,7 @@ class TestAgainstNelderMead:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_objective_never_worse(self, seed):
         corpus, _ = synthgen.simulate_corpus(synthgen.default_spec(200, seed))
-        items = [it for it in corpus.items if it.total >= 1]
+        items = [it for it in items_of(corpus) if it.total >= 1]
         fit = fit_wsb_corpus([it.counts for it in items], m=30.0)
         worse = [(it.id, f, ref) for it, f in zip(items, fit.objective)
                  if not not_worse(f, ref := nelder_mead_objective(it))]
@@ -219,7 +224,7 @@ class TestAgainstNelderMead:
     def test_lam_pinned_at_upper_bound(self):
         # A rising item whose best fit wants lam beyond the box: only the
         # free coordinates (mu, sigma) may move while lam sits on its bound.
-        item = synthgen.simulate_corpus(synthgen.default_spec(200, 1))[0].items[58]
+        item = items_of(synthgen.simulate_corpus(synthgen.default_spec(200, 1))[0])[58]
         fit = fit_wsb(item, m=30.0)
         assert fit.params.lam == LAM_BOUNDS[1]
         assert fit.converged
@@ -228,8 +233,9 @@ class TestAgainstNelderMead:
 
 class TestBatch:
     def test_corpus_equals_single_item_and_threaded_fits(self):
-        items = synthgen.simulate_corpus(synthgen.default_spec(300, 4))[0].items
-        y = np.asarray([it.counts for it in items], dtype=float)
+        corpus = synthgen.simulate_corpus(synthgen.default_spec(300, 4))[0]
+        items = items_of(corpus)
+        y = corpus.counts.astype(float)
         batched = fit_wsb_corpus(y, m=30.0)
         threaded = fit_wsb_corpus(y, m=30.0, jobs=2)
         for column, other in zip(batched, threaded):
@@ -276,7 +282,7 @@ class TestCompare:
 
     def test_mse_count_must_match_ids(self, planted):
         fits = planted["fits"][:3]
-        wsb_fit = fit_wsb_corpus([it.counts for it in planted["corpus"].items[:3]], m=30.0)
+        wsb_fit = fit_wsb_corpus(planted["corpus"].counts[:3], m=30.0)
         with pytest.raises(DataError, match="2 functional-fit MSEs for 3 WSB fits"):
             compare_models(wsb_fit.mse, [f.mse for f in fits[:2]])
 
@@ -286,7 +292,7 @@ class TestCompare:
 
     @staticmethod
     def planted_table(planted, n=120):
-        wsb_fit = fit_wsb_corpus([it.counts for it in planted["corpus"].items[:n]], m=30.0)
+        wsb_fit = fit_wsb_corpus(planted["corpus"].counts[:n], m=30.0)
         return compare_models(wsb_fit.mse, [f.mse for f in planted["fits"][:n]])
 
     def test_kde_curves_integrate_to_one(self, planted):
