@@ -13,7 +13,10 @@ the config file sets; ``baseline`` and ``cluster`` store those overrides
 with the blocks they recompute, and ``sensitivity`` stores none.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.  Diagnostics go to stderr.
+failure.  The overflow guard's OverflowGuardError is raised only by
+``poisson_loglik`` and ``loglik_grad_hess``, which no command calls: the fit
+kernel flags such rows for its ridge fallback, so no command exits 4 through
+the guard.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations

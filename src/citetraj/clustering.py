@@ -25,7 +25,7 @@ from .poisson import TrajectoryFit
 __all__ = [
     "ClusterModel",
     "METHODS",
-    "ShapeThresholds",
+    "EVERGREEN_TOL",
     "SweepReport",
     "cluster",
     "cluster_and_label",
@@ -48,22 +48,15 @@ METHODS = ("kmeans", "kmedoids", "ward")
 
 _MAX_LLOYD_ITER = 300
 
-
-@dataclass(frozen=True)
-class ShapeThresholds:
-    """Tunable constants for the shape rules.
-
-    ``evergreen_rel_tol`` is the per-step decline tolerated as a fraction of
-    the curve maximum; a perfectly flat curve therefore counts as evergreen
-    (no decline).  ``delayed_frac`` places the late-peak cutoff at T/2;
-    flash-in-the-pan needs a peak within T/6 and an endpoint below 20% of
-    the peak.
-    """
-
-    evergreen_rel_tol: float = 0.05
-    delayed_frac: float = 0.5
-    flash_peak_frac: float = 1.0 / 6.0
-    flash_end_frac: float = 0.2
+# Shape rules.  ``EVERGREEN_TOL`` is the default per-step decline tolerated
+# as a fraction of the curve maximum; a perfectly flat curve therefore counts
+# as evergreen (no decline).  ``_DELAYED_FRAC`` places the late-peak cutoff
+# at T/2; flash-in-the-pan needs a peak within T/6 (``_FLASH_PEAK_FRAC``) and
+# an endpoint below 20% of the peak (``_FLASH_END_FRAC``).
+EVERGREEN_TOL = 0.05
+_DELAYED_FRAC = 0.5
+_FLASH_PEAK_FRAC = 1.0 / 6.0
+_FLASH_END_FRAC = 0.2
 
 
 @dataclass(frozen=True)
@@ -304,13 +297,14 @@ def _standardized(scores: np.ndarray, basis: LatentBasis | None, standardize: bo
 
 def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, seed: int = 0,
                       restarts: int = 10, standardize: bool = False,
-                      thresholds: ShapeThresholds | None = None) -> ClusterModel:
+                      evergreen_tol: float = EVERGREEN_TOL) -> ClusterModel:
     """Cluster per-item scores and label each cluster by its shape.
 
     ``standardize`` clusters the scores divided by the square root of each
     basis eigenvalue; the centroids stay in that space.  Labels come from
     raw-score centroids, the mean scores of each cluster's members (an
-    empty cluster maps its centroid back).  Without a basis, no labels.
+    empty cluster maps its centroid back), with ``evergreen_tol`` as in
+    :func:`label_clusters`.  Without a basis, no labels.
     """
     scores = np.asarray(scores, dtype=float)
     model = cluster(method, _standardized(scores, basis, standardize), k, seed, restarts)
@@ -319,7 +313,7 @@ def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, se
     raw = model.centroids * (np.sqrt(basis.eigenvalues) if standardize else 1.0)
     for j in np.unique(model.assignments):
         raw[j] = scores[model.assignments == j].mean(axis=0)
-    return model.with_labels(label_clusters(model, basis, thresholds, centroids=raw))
+    return model.with_labels(label_clusters(model, basis, evergreen_tol, centroids=raw))
 
 
 def _evergreen(curves: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -331,28 +325,27 @@ def _evergreen(curves: np.ndarray, rel_tol: float) -> np.ndarray:
 def label_clusters(
     model: ClusterModel,
     basis: LatentBasis,
-    thresholds: ShapeThresholds | None = None,
+    evergreen_tol: float = EVERGREEN_TOL,
     centroids: np.ndarray | None = None,
 ) -> tuple[str, ...]:
     """Shape labels for each cluster centroid, applied in rule order.
 
-    (1) evergreen when the centroid intensity never drops by more than the
-    tolerance between consecutive years; (2) delayed when the peak year is
-    past T/2; (3) otherwise normal, split into high/low by whether the
-    curve's mean level exceeds the median of the normal clusters' means.
-    Pass ``centroids`` to label in a different (e.g. unstandardized) score
-    space than the one clustered in.
+    (1) evergreen when the centroid intensity never drops between
+    consecutive years by more than ``evergreen_tol`` times its maximum;
+    (2) delayed when the peak year is past T/2; (3) otherwise normal, split
+    into high/low by whether the curve's mean level exceeds the median of
+    the normal clusters' means.  Pass ``centroids`` to label in a different
+    (e.g. unstandardized) score space than the one clustered in.
     """
-    th = thresholds or ShapeThresholds()
     cents = model.centroids if centroids is None else np.asarray(centroids, float)
     if cents.shape[1] != basis.k:
         raise ConfigError(
             f"centroid dimension {cents.shape[1]} does not match basis K={basis.k}"
         )
     curves = np.exp(basis.eta(cents))
-    evergreen = _evergreen(curves, th.evergreen_rel_tol)
+    evergreen = _evergreen(curves, evergreen_tol)
     peak_year = basis.grid.points[np.argmax(curves, axis=1)]
-    delayed = ~evergreen & (peak_year > th.delayed_frac * basis.grid.n_years)
+    delayed = ~evergreen & (peak_year > _DELAYED_FRAC * basis.grid.n_years)
     level = curves.mean(axis=1)
     normal = ~evergreen & ~delayed
     med = float(np.median(level[normal])) if normal.any() else 0.0
@@ -362,27 +355,27 @@ def label_clusters(
     )
 
 
-def classify_items(intensity, thresholds: ShapeThresholds | None = None) -> list[str]:
+def classify_items(intensity, evergreen_tol: float = EVERGREEN_TOL) -> list[str]:
     """Item-level taxonomy for each row of an (n, T) fitted intensity matrix.
 
-    Evergreen takes precedence, then flash-in-the-pan (early peak, endpoint
-    below a fraction of the peak), then delayed document (late peak), else
-    normal document.
+    Evergreen (no yearly decline beyond ``evergreen_tol`` times the maximum)
+    takes precedence, then flash-in-the-pan (early peak, endpoint below a
+    fraction of the peak), then delayed document (late peak), else normal
+    document.
     """
-    th = thresholds or ShapeThresholds()
     curves = np.asarray(intensity, dtype=float)
     t = curves.shape[1]
     peak_year = np.argmax(curves, axis=1) + 1
-    early_fall = curves[:, -1] < th.flash_end_frac * curves.max(axis=1)
-    rule = np.select([_evergreen(curves, th.evergreen_rel_tol),
-                      (peak_year <= th.flash_peak_frac * t) & early_fall,
-                      peak_year > th.delayed_frac * t], [0, 1, 2], default=3)
+    early_fall = curves[:, -1] < _FLASH_END_FRAC * curves.max(axis=1)
+    rule = np.select([_evergreen(curves, evergreen_tol),
+                      (peak_year <= _FLASH_PEAK_FRAC * t) & early_fall,
+                      peak_year > _DELAYED_FRAC * t], [0, 1, 2], default=3)
     return [ITEM_LABELS[r] for r in rule]
 
 
-def classify_item(fit: TrajectoryFit, thresholds: ShapeThresholds | None = None) -> str:
+def classify_item(fit: TrajectoryFit, evergreen_tol: float = EVERGREEN_TOL) -> str:
     """One item's label: :func:`classify_items` on its fitted intensity."""
-    return classify_items(np.asarray(fit.intensity, dtype=float)[None, :], thresholds)[0]
+    return classify_items(np.asarray(fit.intensity, dtype=float)[None, :], evergreen_tol)[0]
 
 
 def adjusted_rand_index(a, b) -> float:
@@ -454,14 +447,14 @@ def robustness_sweep(
     seed: int = 0,
     restarts: int = 10,
     basis: LatentBasis | None = None,
-    thresholds: ShapeThresholds | None = None,
+    evergreen_tol: float = EVERGREEN_TOL,
     standardize: bool = False,
 ) -> SweepReport:
     """Run every (K, method) cell and summarize agreement between methods.
 
-    Each cell is one ``cluster_and_label`` call and reports within_ss, mean
-    silhouette, cluster sizes, and (when a basis is supplied) shape labels;
-    for each K the pairwise adjusted Rand index between methods quantifies
+    Each cell is one ``cluster_and_label`` call (``evergreen_tol`` as there)
+    and reports within_ss, mean silhouette, cluster sizes, and (when a basis
+    is supplied) shape labels; for each K the pairwise adjusted Rand index between methods quantifies
     robustness of the partition.
     """
     scores = np.asarray(scores, dtype=float)
@@ -475,7 +468,7 @@ def robustness_sweep(
     for method in methods:
         for k in k_values:
             model = cluster_and_label(
-                method, scores, k, basis, seed, restarts, standardize, thresholds
+                method, scores, k, basis, seed, restarts, standardize, evergreen_tol
             )
             models[(method, k)] = model
             sizes = np.bincount(model.assignments, minlength=k)

@@ -5,12 +5,15 @@ the yearly citations of a paper) observed at years 1..T after its origin.
 This module alone builds a corpus's read-only (n, T) int64 count matrix: it
 parses (CSV / JSONL), validates, filters and transforms it.  Counts are at
 most 2**53, the largest integer float64 holds exactly; later stages are float64.
+A grid has at most 1023 years, so a row total, below 1023 * 2**53 < 2**63,
+stays exact in int64.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from collections import Counter
@@ -35,17 +38,20 @@ __all__ = [
 ]
 
 MAX_COUNT = 2**53
+_MAX_YEARS = 1023
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Yearly observation grid: years 1..n_years with unit spacing."""
+    """Yearly observation grid: years 1..n_years with unit spacing, 2 to 1023."""
 
     n_years: int
 
     def __post_init__(self):
         if self.n_years < 2:
             raise DataError(f"grid needs at least 2 years, got {self.n_years}")
+        if self.n_years > _MAX_YEARS:
+            raise DataError(f"grid holds at most {_MAX_YEARS} years, got {self.n_years}")
 
     @property
     def points(self) -> np.ndarray:
@@ -134,9 +140,12 @@ def _check_token(token: str, line_no: int, item_id: str) -> None:
 
 
 def _corpus_of_records(t: int, records, to_row, check, provenance: str) -> Corpus:
-    """Corpus of ``(line_no, item_id, raw counts)`` records.  ``to_row``
-    maps raw counts to a list of ints, or to None or a ValueError if one is
-    malformed; ``check`` raises on the first bad count of a faulty row."""
+    """Corpus of ``(line_no, item_id, raw counts)`` records, checked in line
+    order as they are read, so the first fault by line is the one reported.
+    ``to_row`` maps raw counts to a list of ints, or to None or a ValueError
+    if one is malformed; ``check`` raises on the first bad count of a faulty
+    row."""
+    grid = TimeGrid(t)
     ids, rows = [], []
     for line_no, item_id, raw in records:
         if len(raw) != t:
@@ -152,7 +161,7 @@ def _corpus_of_records(t: int, records, to_row, check, provenance: str) -> Corpu
                 check(value, line_no, item_id)
         ids.append(item_id)
         rows.append(row)
-    return Corpus(TimeGrid(t), ids, np.asarray(rows, np.int64).reshape(len(rows), t), provenance)
+    return Corpus(grid, ids, np.asarray(rows, np.int64).reshape(len(rows), t), provenance)
 
 
 def _as_text(source) -> str:
@@ -195,33 +204,38 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
     raise DataError(f"unknown corpus format {format!r} (expected 'csv' or 'jsonl')")
 
 
-def _parse_csv(text: str, provenance: str) -> Corpus:
+def _csv_records(text: str):
+    """Nonblank CSV records as ``(line_no, fields)``, read lazily."""
     # One reader over the whole text, so quoted fields may hold line breaks;
     # a record's line number is the line it ends on.
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = []
     try:
         for fields in reader:
             if len(fields) > 1 or (fields and fields[0].strip()):
-                rows.append((reader.line_num, fields))
+                yield reader.line_num, fields
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
-    if not rows:
+
+
+def _parse_csv(text: str, provenance: str) -> Corpus:
+    rows = _csv_records(text)
+    first = next(rows, None)
+    if first is None:
         raise DataError("empty CSV corpus")
-    header_no, header = rows[0]
+    header_no, header = first
     cols = [c.strip() for c in header]
     if len(cols) < 3 or cols[0] != "id":
         raise DataError(
             f"line {header_no}: expected header 'id,y1,...,yT', got {','.join(header)!r}"
         )
-    records = [(line_no, fields[0], fields[1:]) for line_no, fields in rows[1:]]
+    records = ((line_no, fields[0], fields[1:]) for line_no, fields in rows)
     return _corpus_of_records(
         len(cols) - 1, records, lambda raw: list(map(int, raw)), _check_token, provenance
     )
 
 
-def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
-    records = []
+def _jsonl_records(lines: list[str]):
+    """``(line_no, item_id, raw counts)`` of the nonblank JSONL lines, read lazily."""
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -231,15 +245,20 @@ def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
             raise DataError(f"line {i}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj or type(obj.get("counts")) is not list:
             raise DataError(f"line {i}: expected object with 'id' and a 'counts' list")
-        records.append((i, str(obj["id"]), obj["counts"]))
-    if not records:
+        yield i, str(obj["id"]), obj["counts"]
+
+
+def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
+    records = _jsonl_records(lines)
+    first = next(records, None)
+    if first is None:
         raise DataError("empty JSONL corpus")
-    t = len(records[0][2])
+    t = len(first[2])
     if t < 2:
-        raise DataError(f"line {records[0][0]}: grid needs at least 2 years, got {t}")
+        raise DataError(f"line {first[0]}: grid needs at least 2 years, got {t}")
     return _corpus_of_records(
-        t, records, lambda raw: raw if set(map(type, raw)) == {int} else None,
-        _check_count, provenance,
+        t, itertools.chain([first], records),
+        lambda raw: raw if set(map(type, raw)) == {int} else None, _check_count, provenance,
     )
 
 

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4.
+NumericalError -> 4.  OverflowGuardError, a NumericalError, is raised only by
+``poisson.poisson_loglik`` and ``poisson.loglik_grad_hess``; the fit kernel
+flags such rows for its ridge fallback instead, so no command exits 4
+through the guard.
 """
 
 
@@ -22,7 +25,11 @@ class NumericalError(CitetrajError):
 
 
 class OverflowGuardError(NumericalError):
-    """Linear predictor exceeded the exp() overflow guard (eta > 700)."""
+    """Linear predictor exceeded the exp() overflow guard (eta > 700).
+
+    Raised only by ``poisson.poisson_loglik`` and ``poisson.loglik_grad_hess``;
+    the fits flag such rows for the ridge fallback instead of raising.
+    """
 
 
 class StageError(CitetrajError):

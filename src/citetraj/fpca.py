@@ -23,51 +23,18 @@ from .smoothing import (
 )
 
 __all__ = [
-    "BandwidthPolicy",
-    "BasisPolicy",
     "LatentBasis",
     "SelectionRow",
     "SelectionTable",
     "estimate_mean",
     "covariance_matrix",
     "eigendecompose_symmetric",
+    "fve_basis_size",
     "truncate_basis",
     "select_k_loglik",
 ]
 
 _ORTHO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BandwidthPolicy:
-    """Either GCV over a candidate grid or a fixed bandwidth (years)."""
-
-    kind: str = "gcv"
-    value: float | None = None
-    candidates: tuple[float, ...] = DEFAULT_BANDWIDTH_CANDIDATES
-
-    def __post_init__(self):
-        if self.kind not in ("gcv", "fixed"):
-            raise ConfigError(f"unknown bandwidth policy {self.kind!r}")
-        if self.kind == "fixed" and (self.value is None or self.value <= 0):
-            raise ConfigError("fixed bandwidth policy needs a positive value")
-
-
-@dataclass(frozen=True)
-class BasisPolicy:
-    """How many eigenfunctions to retain: fixed count or FVE threshold."""
-
-    kind: str = "fixed"
-    k: int = 4
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "fve"):
-            raise ConfigError(f"unknown basis policy {self.kind!r}")
-        if self.kind == "fixed" and self.k < 0:
-            raise ConfigError(f"fixed basis size must be >= 0, got {self.k}")
-        if self.kind == "fve" and not (self.tau is not None and 0 < self.tau <= 1):
-            raise ConfigError("fve policy needs tau in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -138,21 +105,22 @@ class LatentBasis:
         )
 
 
-def estimate_mean(corpus: Corpus, bandwidth: BandwidthPolicy | None = None) -> SmoothCurve:
+def estimate_mean(corpus: Corpus, bandwidth: float | None = None) -> SmoothCurve:
     """Smooth the yearly average of ln(``corpus.counts`` + 1).
 
     The raw yearly average is smoothed by a local quadratic so the curve's
     derivative comes from the fitted slope rather than finite differences.
+    ``bandwidth`` (years) fixes the smoothing bandwidth; None picks it by
+    GCV over ``DEFAULT_BANDWIDTH_CANDIDATES``.
     """
     if len(corpus) == 0:
         raise DataError("cannot estimate a mean curve from an empty corpus")
-    policy = bandwidth or BandwidthPolicy()
     t = corpus.grid.points
     zbar = log_matrix(corpus).mean(axis=0)
-    if policy.kind == "fixed":
-        h = float(policy.value)
+    if bandwidth is not None:
+        h = float(bandwidth)
     else:
-        h = gcv_bandwidth(t, zbar, degree=2, candidates=policy.candidates)
+        h = gcv_bandwidth(t, zbar, degree=2, candidates=DEFAULT_BANDWIDTH_CANDIDATES)
     values, deriv = local_poly_smooth(t, zbar, degree=2, bandwidth=h, eval_points=t)
     return SmoothCurve(grid=corpus.grid, values=values, derivative=deriv, bandwidth=h)
 
@@ -207,38 +175,44 @@ def eigendecompose_symmetric(cov: np.ndarray, delta: float = 1.0):
     return eigenvalues, phi
 
 
+def fve_basis_size(eigenvalues, tau: float) -> int:
+    """Smallest K whose cumulative share of the positive spectrum reaches
+    ``tau`` in (0, 1]; negative sample eigenvalues count as zero."""
+    if not 0 < tau <= 1:
+        raise ConfigError(f"fve needs tau in (0, 1], got {tau}")
+    clamped = np.maximum(np.asarray(eigenvalues, dtype=float), 0.0)
+    positive = int(np.count_nonzero(clamped > 0))
+    if positive == 0:
+        raise ConfigError("no positive eigenvalues; cannot apply an FVE policy")
+    share = np.cumsum(clamped[:positive]) / float(clamped.sum())
+    k = int(np.searchsorted(share, tau - 1e-12) + 1)
+    return min(k, positive)
+
+
 def truncate_basis(
     mean: SmoothCurve,
     eigenvalues: np.ndarray,
     eigenfunctions: np.ndarray,
-    policy: BasisPolicy | None = None,
+    k: int,
 ) -> LatentBasis:
-    """Cut the full spectrum down to a working basis.
+    """Cut the full spectrum down to a working basis of the first ``k``
+    eigenfunctions (see :func:`fve_basis_size` to pick ``k`` by FVE).
 
-    The FVE policy keeps the smallest K whose cumulative share of the
-    positive spectrum reaches tau; the fixed policy keeps exactly K.
     Negative sample eigenvalues are clamped to zero and excluded from the
-    FVE denominator.
+    FVE denominator; ``k`` may not exceed the positive eigenvalues.
     """
-    policy = policy or BasisPolicy()
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     eigenfunctions = np.asarray(eigenfunctions, dtype=float)
     clamped = np.maximum(eigenvalues, 0.0)
     positive = int(np.count_nonzero(clamped > 0))
     total = float(clamped.sum())
-    if policy.kind == "fixed":
-        k = policy.k
-        if k > positive:
-            raise ConfigError(
-                f"requested {k} eigenfunctions but only {positive} positive "
-                "eigenvalues are available"
-            )
-    else:
-        if positive == 0:
-            raise ConfigError("no positive eigenvalues; cannot apply an FVE policy")
-        share = np.cumsum(clamped[:positive]) / total
-        k = int(np.searchsorted(share, policy.tau - 1e-12) + 1)
-        k = min(k, positive)
+    if k < 0:
+        raise ConfigError(f"basis size must be >= 0, got {k}")
+    if k > positive:
+        raise ConfigError(
+            f"requested {k} eigenfunctions but only {positive} positive "
+            "eigenvalues are available"
+        )
     fve = (np.cumsum(clamped[:k]) / total) if total > 0 else np.zeros(k)
     return LatentBasis(
         grid=mean.grid,

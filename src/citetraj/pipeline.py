@@ -60,7 +60,7 @@ class PipelineConfig:
     baseline: bool = True
     select_k_max: int = 6
     bandwidth: float | None = None
-    evergreen_tol: float = 0.05
+    evergreen_tol: float = clus.EVERGREEN_TOL
 
     def __post_init__(self):
         if self.method not in clus.METHODS:
@@ -251,10 +251,6 @@ def detect_format(path: str, override: str | None) -> str:
     return "csv"
 
 
-def _shape_thresholds(config: PipelineConfig) -> clus.ShapeThresholds:
-    return clus.ShapeThresholds(evergreen_rel_tol=config.evergreen_tol)
-
-
 def baseline_stage(counts, fpca_mse: Sequence[float],
                    config: PipelineConfig) -> tuple[dict, dict]:
     """The model's ``wsb`` and ``comparison`` blocks: WSB fits of the rows of
@@ -295,7 +291,7 @@ def cluster_stage(scores: np.ndarray, basis: fpca.LatentBasis,
         )
     model = clus.cluster_and_label(
         config.method, scores, config.k_clusters, basis, config.seed,
-        config.restarts, config.standardize, _shape_thresholds(config),
+        config.restarts, config.standardize, config.evergreen_tol,
     )
     return {
         "centroids": _float_rows(model.centroids),
@@ -331,29 +327,19 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
                 f"only {len(corpus)} items left after min_total={config.min_total}"
             )
     with _stage("mean"):
-        policy = (
-            fpca.BandwidthPolicy("fixed", value=config.bandwidth)
-            if config.bandwidth is not None
-            else fpca.BandwidthPolicy()
-        )
-        mean = fpca.estimate_mean(corpus, policy)
+        mean = fpca.estimate_mean(corpus, config.bandwidth)
     with _stage("eigenbasis"):
         cov = fpca.covariance_matrix(corpus, mean.values)
         spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
         n_positive = int(np.count_nonzero(np.maximum(spectrum, 0.0) > 0))
-        policy = (
-            fpca.BasisPolicy("fve", tau=config.fve) if config.fve is not None
-            else fpca.BasisPolicy("fixed", k=config.k_basis)
-        )
-        basis = fpca.truncate_basis(mean, spectrum, functions, policy)
+        k = config.k_basis if config.fve is None else fpca.fve_basis_size(spectrum, config.fve)
+        basis = fpca.truncate_basis(mean, spectrum, functions, k)
     with _stage("selection"):
         selection = None
         selection_fits = {}
         k_top = min(config.select_k_max, n_positive)
         if k_top >= 1:
-            sel_basis = fpca.truncate_basis(
-                mean, spectrum, functions, fpca.BasisPolicy("fixed", k=k_top)
-            )
+            sel_basis = fpca.truncate_basis(mean, spectrum, functions, k_top)
             table = fpca.select_k_loglik(corpus, sel_basis, range(1, k_top + 1))
             selection = {
                 "rows": [asdict(r) for r in table.rows],
@@ -376,7 +362,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
     with _stage("label"):
         if basis.k >= 1:
             item_labels = clus.classify_items(
-                np.exp(basis.eta(fit.scores)), _shape_thresholds(config)
+                np.exp(basis.eta(fit.scores)), config.evergreen_tol
             )
     config_echo = asdict(config)
     # Execution knobs that cannot change model content stay out of the
@@ -453,10 +439,9 @@ def sensitivity(
     if basis.k < 1:
         raise ConfigError("sensitivity needs a model with a nonempty basis")
     scores = model.scores()
-    th_cfg = _shape_thresholds(cfg)
     sweep = clus.robustness_sweep(
         scores, k_values, list(methods), seed=cfg.seed, restarts=cfg.restarts,
-        basis=basis, thresholds=th_cfg, standardize=cfg.standardize,
+        basis=basis, evergreen_tol=cfg.evergreen_tol, standardize=cfg.standardize,
     )
 
     totals = counts_matrix(model.data["corpus"]["counts"]).sum(axis=1)
@@ -466,7 +451,7 @@ def sensitivity(
         mask = totals >= tau
         runs[int(tau)] = mask, (clus.cluster_and_label(
             cfg.method, scores[mask], k, basis, cfg.seed, cfg.restarts,
-            cfg.standardize, th_cfg,
+            cfg.standardize, cfg.evergreen_tol,
         ) if mask.sum() >= k else None)
     base_tau = int(thresholds[0])
     base_mask, base = runs[base_tau]

@@ -20,7 +20,6 @@ from .errors import ConfigError, DataError, OverflowGuardError
 from .fpca import LatentBasis
 
 __all__ = [
-    "FitOptions",
     "FitArrays",
     "TrajectoryFit",
     "poisson_loglik",
@@ -40,14 +39,14 @@ ETA_OVERFLOW = 700.0
 # depend on the chunk size.
 _CHUNK = 1024
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 100
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_halvings: int = 30
-    ridge: float = 1e-6
+# Newton: iteration cap; a row converges when its max absolute gradient
+# falls below _GRAD_TOL, or its step below _STEP_TOL and the final gradient
+# check passes; step halvings per iteration; ridge penalty of the fallback.
+_MAX_ITER = 100
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-10
+_MAX_HALVINGS = 30
+_RIDGE = 1e-6
 
 
 class FitArrays(NamedTuple):
@@ -152,7 +151,7 @@ def loglik_grad_hess(counts, eta, basis: LatentBasis):
     return _gradient(counts[None, :], lam, phi)[0], -_neg_hessian(lam, phi)[0]
 
 
-def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
+def _newton_batch(y, basis: LatentBasis, ridge: float, s0):
     """Newton-with-step-halving over a batch of items sharing one basis.
 
     Every reduction runs per item (einsum, and per-row vector-matrix products
@@ -198,7 +197,7 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     eta = basis.eta(sa)
     lam = exp(eta)
     ll = objective(ya, sa, eta, lam)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         if idx.size == 0:
             break
         over = eta.max(axis=1) > ETA_OVERFLOW
@@ -212,7 +211,7 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
                 break
         grad = gradient(ya, sa, lam)
         gnorm = np.abs(grad).max(axis=1) if k else np.zeros(len(idx))
-        done = gnorm < opts.grad_tol
+        done = gnorm < _GRAD_TOL
         if done.any():
             converged[idx[done]] = True
             keep = ~done
@@ -254,7 +253,7 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
         improved = new_ll >= ll - 1e-13 * np.maximum(1.0, np.abs(ll))
         new_s[~improved] = sa[~improved]
         alpha = 1.0
-        for _halving in range(opts.max_halvings):
+        for _halving in range(_MAX_HALVINGS):
             todo = np.nonzero(~improved)[0]
             if todo.size == 0:
                 break
@@ -274,11 +273,11 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
         iters[idx[improved]] += 1
         step = np.abs(new_s - sa).max(axis=1) if k else np.zeros(len(idx))
         s[idx] = new_s
-        tiny = improved & (step < opts.step_tol)
+        tiny = improved & (step < _STEP_TOL)
         if tiny.any():
             # Final gradient check so the converged flag keeps its meaning.
             g_t = gradient(ya[tiny], new_s[tiny], new_lam[tiny])
-            converged[idx[tiny]] = np.abs(g_t).max(axis=1) < opts.grad_tol
+            converged[idx[tiny]] = np.abs(g_t).max(axis=1) < _GRAD_TOL
         # Stalled items cannot improve the objective; stop them unconverged.
         keep = improved & ~tiny
         idx, sa, eta, lam, ya, ll = (
@@ -288,19 +287,18 @@ def _newton_batch(y, basis: LatentBasis, opts: FitOptions, ridge: float, s0):
     return s, iters, converged, fallback
 
 
-def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitArrays:
+def fit_matrix(y, basis: LatentBasis) -> FitArrays:
     """Maximum likelihood scores for every row of an (n, T) count matrix.
 
     Newton's method with step halving, initialized at the projection of the
     log-transformed deviation onto the basis.  Convergence when the max
-    absolute gradient drops below ``grad_tol`` (or the step shrinks below
-    ``step_tol`` and the final gradient check passes); ``max_iter``
+    absolute gradient drops below ``_GRAD_TOL`` (or the step shrinks below
+    ``_STEP_TOL`` and the final gradient check passes); ``_MAX_ITER``
     iterations otherwise, flagged.  Rows whose start trips the overflow
     guard, or whose Hessian is singular, are refit with a ridge penalty from
     zero scores.  The reported log-likelihood is always unpenalized, even
     for ridged rows.
     """
-    opts = options or FitOptions()
     y = np.asarray(y, dtype=float)
     t = basis.grid.n_years
     if y.ndim != 2 or y.shape[1] != t:
@@ -317,13 +315,13 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitA
         s0 = np.einsum(
             "it,kt->ik", np.log1p(yc) - basis.mean, basis.eigenfunctions
         ) * basis.grid.delta
-        s, it, conv, fallback = _newton_batch(yc, basis, opts, 0.0, s0)
+        s, it, conv, fallback = _newton_batch(yc, basis, 0.0, s0)
         if fallback.any():
             # Ridge fallback restarts the flagged items from zero scores,
             # which keeps the initial linear predictor at the (safe) mean.
             idx = np.nonzero(fallback)[0]
             s2, it2, conv2, _ = _newton_batch(
-                yc[idx], basis, opts, opts.ridge, np.zeros((idx.size, k))
+                yc[idx], basis, _RIDGE, np.zeros((idx.size, k))
             )
             s[idx], conv[idx] = s2, conv2
             it[idx] += it2
@@ -335,9 +333,9 @@ def fit_matrix(y, basis: LatentBasis, options: FitOptions | None = None) -> FitA
     return fit
 
 
-def _trajectory_fits(ids, y, basis: LatentBasis, options) -> list[TrajectoryFit]:
+def _trajectory_fits(ids, y, basis: LatentBasis) -> list[TrajectoryFit]:
     """:func:`fit_matrix` of the count rows ``y`` as one fit per id."""
-    fit = fit_matrix(y, basis, options)
+    fit = fit_matrix(y, basis)
     eta = basis.eta(fit.scores)
     intensity = np.exp(eta)
     return [
@@ -351,24 +349,16 @@ def _trajectory_fits(ids, y, basis: LatentBasis, options) -> list[TrajectoryFit]
     ]
 
 
-def fit_items(
-    items: Sequence[CountTrajectory],
-    basis: LatentBasis,
-    options: FitOptions | None = None,
-) -> list[TrajectoryFit]:
+def fit_items(items: Sequence[CountTrajectory], basis: LatentBasis) -> list[TrajectoryFit]:
     """Fit a list of trajectories (see :func:`fit_matrix`), in order."""
     if not items:
         return []
-    return _trajectory_fits([it.id for it in items], [it.counts for it in items], basis, options)
+    return _trajectory_fits([it.id for it in items], [it.counts for it in items], basis)
 
 
-def fit_corpus(
-    corpus: Corpus,
-    basis: LatentBasis,
-    options: FitOptions | None = None,
-) -> list[TrajectoryFit]:
+def fit_corpus(corpus: Corpus, basis: LatentBasis) -> list[TrajectoryFit]:
     """Independent per-item fits for a whole corpus, in corpus order."""
-    return _trajectory_fits(corpus.ids, corpus.counts, basis, options)
+    return _trajectory_fits(corpus.ids, corpus.counts, basis)
 
 
 def convergence_summary(fit: FitArrays) -> dict:

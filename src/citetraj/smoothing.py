@@ -186,23 +186,16 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return h
 
 
-def gaussian_kde(samples, bandwidth, eval_points) -> DensityEstimate:
-    """Gaussian kernel density estimate at the given evaluation points.
-
-    ``bandwidth`` is either the string ``"silverman"`` or a positive number.
-    """
+def gaussian_kde(samples, bandwidth: float, eval_points) -> DensityEstimate:
+    """Gaussian kernel density estimate at the given evaluation points, with
+    a positive ``bandwidth`` (see :func:`silverman_bandwidth` for a rule)."""
     samples = np.asarray(samples, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
     if samples.size == 0:
         raise ConfigError("need at least one sample")
-    if isinstance(bandwidth, str):
-        if bandwidth != "silverman":
-            raise ConfigError(f"unknown bandwidth rule {bandwidth!r}")
-        h = silverman_bandwidth(samples)
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ConfigError(f"bandwidth must be positive, got {h}")
+    h = float(bandwidth)
+    if h <= 0:
+        raise ConfigError(f"bandwidth must be positive, got {h}")
     u = (eval_points[:, None] - samples[None, :]) / h
     dens = np.exp(-0.5 * u * u).sum(axis=1) / (len(samples) * h * np.sqrt(2 * np.pi))
     return DensityEstimate(eval_points=eval_points, densities=dens, bandwidth=h)

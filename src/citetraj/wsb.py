@@ -9,7 +9,9 @@ model share one error scale.  The fits take an (n, T) count matrix and
 return row-aligned columns (:class:`WsbArrays`), as the Poisson fits do.
 They run as one vectorized Levenberg-Marquardt over every row's start
 points, with the analytic Jacobian and steps projected onto the parameter
-box.  :func:`fit_wsb` is the one-item view.
+box.  :func:`wsb_curve` is the one statement of C(t): the fits' objective
+and MSE and the one-item views (:func:`fit_wsb`, :func:`wsb_cumulative`,
+:func:`wsb_annual`) all evaluate it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from .data import CountTrajectory, TimeGrid
 from .errors import ConfigError, DataError, NumericalError
@@ -31,6 +34,7 @@ __all__ = [
     "MinimizeResult",
     "minimize",
     "normal_cdf",
+    "wsb_curve",
     "wsb_cumulative",
     "wsb_annual",
     "fit_wsb",
@@ -117,31 +121,12 @@ class WsbArrays(NamedTuple):
 
 
 def normal_cdf(x):
-    """Standard normal CDF via erf; exact to double precision.
+    """Standard normal CDF via scipy's erf; exact to double precision.
 
     Accepts scalars or arrays; scalars come back as floats.
     """
-    if np.ndim(x) == 0:
-        return 0.5 * (1.0 + math.erf(float(x) / _SQRT2))
-    from scipy.special import erf
-
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
-
-
-def wsb_cumulative(t, p: WsbParams):
-    """Model cumulative count C(t) = m * (exp(lam * Phi((ln t - mu)/sigma)) - 1)."""
-    scalar = np.ndim(t) == 0
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ConfigError("wsb_cumulative needs t > 0 (year-1 origin grid)")
-    c = p.m * np.expm1(p.lam * normal_cdf((np.log(t) - p.mu) / p.sigma))
-    return float(c) if scalar else c
-
-
-def wsb_annual(p: WsbParams, grid: TimeGrid) -> np.ndarray:
-    """Fitted annual counts: first differences of C with C(0+) = 0."""
-    c = wsb_cumulative(grid.points, p)
-    return np.diff(c, prepend=0.0)
+    p = 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
+    return float(p) if p.ndim == 0 else p
 
 
 def _curve(theta: np.ndarray, log_t: np.ndarray):
@@ -152,11 +137,34 @@ def _curve(theta: np.ndarray, log_t: np.ndarray):
     return lam, sigma, z, normal_cdf(z)
 
 
+def wsb_curve(theta, log_t, m: float) -> np.ndarray:
+    """Model cumulative counts C(t) = m * (exp(lam * Phi((ln t - mu) / sigma)) - 1).
+
+    Row i of the (r, 3) array ``theta`` holds (lam, mu, sigma); ``log_t``
+    holds the (T,) log times.  Returns the (r, T) curves.
+    """
+    lam, _, _, cdf = _curve(np.asarray(theta, dtype=float), np.asarray(log_t, dtype=float))
+    return m * np.expm1(lam * cdf)
+
+
+def wsb_cumulative(t, p: WsbParams):
+    """:func:`wsb_curve` of one parameter set at times ``t`` > 0, a scalar
+    (returned as a float) or a 1-d array."""
+    if np.any(np.asarray(t) <= 0):
+        raise ConfigError("wsb_cumulative needs t > 0 (year-1 origin grid)")
+    c = wsb_curve([[p.lam, p.mu, p.sigma]], np.log(np.atleast_1d(t).astype(float)), p.m)[0]
+    return float(c[0]) if np.ndim(t) == 0 else c
+
+
+def wsb_annual(p: WsbParams, grid: TimeGrid) -> np.ndarray:
+    """Fitted annual counts: first differences of C with C(0+) = 0."""
+    return np.diff(wsb_cumulative(grid.points, p), prepend=0.0)
+
+
 def _objective(theta: np.ndarray, log_t: np.ndarray, c_obs: np.ndarray, m: float) -> np.ndarray:
     """Row-wise least-squares objective sum_t (c_obs - C(t))^2 for rows
     theta (r, 3) against observed cumulative counts c_obs (r, T)."""
-    lam, _, _, cdf = _curve(theta, log_t)
-    res = m * np.expm1(lam * cdf) - c_obs
+    res = wsb_curve(theta, log_t, m) - c_obs
     return np.einsum("rt,rt->r", res, res)
 
 
@@ -287,8 +295,7 @@ def _fit_chunk(y: np.ndarray, m: float) -> WsbArrays:
     # argmin keeps the first start on ties.
     best = np.arange(len(y)) * n_starts + np.argmin(result.fun.reshape(-1, n_starts), axis=1)
     theta = result.x[best]
-    lam, _, _, cdf = _curve(theta, log_t)
-    annual = np.diff(m * np.expm1(lam * cdf), prepend=0.0, axis=1)
+    annual = np.diff(wsb_curve(theta, log_t, m), prepend=0.0, axis=1)
     return WsbArrays(
         lam=theta[:, 0], mu=theta[:, 1], sigma=theta[:, 2],
         mse=np.mean((y - annual) ** 2, axis=1),
@@ -345,7 +352,8 @@ def fit_wsb(traj: CountTrajectory, m: float = 30.0) -> WsbFit:
         raise DataError(f"item {traj.id!r} has no events; WSB fit needs total >= 1")
     fit = fit_wsb_corpus([traj.counts], m=m)
     params = WsbParams(lam=float(fit.lam[0]), mu=float(fit.mu[0]), sigma=float(fit.sigma[0]), m=m)
-    cumulative = wsb_cumulative(TimeGrid(len(traj.counts)).points, params)
+    log_t = np.log(TimeGrid(len(traj.counts)).points)
+    cumulative = wsb_curve(np.column_stack([fit.lam, fit.mu, fit.sigma]), log_t, m)[0]
     return WsbFit(
         id=traj.id, params=params, cumulative_fitted=cumulative,
         annual_fitted=np.diff(cumulative, prepend=0.0), mse=float(fit.mse[0]),

@@ -11,7 +11,7 @@ def planted():
     mean = fpca.estimate_mean(corpus)
     cov = fpca.covariance_matrix(corpus, mean.values)
     spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
-    basis = fpca.truncate_basis(mean, spectrum, functions, fpca.BasisPolicy("fixed", k=4))
+    basis = fpca.truncate_basis(mean, spectrum, functions, 4)
     fits = poisson.fit_corpus(corpus, basis)
     return {
         "corpus": corpus,

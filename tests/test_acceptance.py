@@ -37,8 +37,7 @@ def planted2000():
     mean = fpca.estimate_mean(corpus)
     cov = fpca.covariance_matrix(corpus, mean.values)
     spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
-    basis = fpca.truncate_basis(mean, spectrum, functions,
-                                fpca.BasisPolicy("fixed", k=4))
+    basis = fpca.truncate_basis(mean, spectrum, functions, 4)
     fits = poisson.fit_corpus(corpus, basis)
     return {
         "corpus": corpus,
@@ -167,8 +166,7 @@ def test_criterion_4_synthetic_recovery(planted2000):
         mean = fpca.estimate_mean(corpus)
         cov = fpca.covariance_matrix(corpus, mean.values)
         spectrum, functions = fpca.eigendecompose_symmetric(cov)
-        sel = fpca.truncate_basis(mean, spectrum, functions,
-                                  fpca.BasisPolicy("fixed", k=6))
+        sel = fpca.truncate_basis(mean, spectrum, functions, 6)
         table = fpca.select_k_loglik(corpus, sel, range(1, 7))
         hits += table.recommended_k == 4
     elapsed = time.perf_counter() - start

@@ -269,6 +269,11 @@ _FAILURES = {
                          "a 'counts' list"),
     "jsonl_string_counts": (_JSONL_A + '{"id": "b", "counts": "12"}', False, None, ["ingest"],
                             EXIT_DATA, "line 2: expected object with 'id' and a 'counts' list"),
+    # A negative count on line 1 is reported before invalid JSON on line 5.
+    "jsonl_first_fault_by_line": ('{"id": "a", "counts": [1, -2]}\n'
+                                  + "".join('{"id": "%s", "counts": [1, 2]}\n' % i for i in "bcd")
+                                  + "not json", False, None, ["ingest"], EXIT_DATA,
+                                  "line 1: item 'a': negative count -2"),
 }
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citetraj.clustering import (
-    ShapeThresholds,
     adjusted_rand_index,
     classify_item,
     classify_items,
@@ -310,16 +309,15 @@ class TestLabels:
 
     def test_matches_loop_reference(self, planted):
         basis = planted["basis"]
-        th = ShapeThresholds()
         t = basis.grid.n_years
         for k in (2, 3, 4, 5, 6):
             model = kmeans(planted["scores"], k, seed=k)
             labels, normal = [], {}
             for j, curve in enumerate(np.exp(basis.eta(model.centroids))):
-                eps = th.evergreen_rel_tol * float(curve.max())
+                eps = 0.05 * float(curve.max())
                 if np.all(np.diff(curve) >= -eps):
                     labels.append("evergreen")
-                elif int(np.argmax(curve)) + 1 > th.delayed_frac * t:
+                elif int(np.argmax(curve)) + 1 > 0.5 * t:
                     labels.append("delayed")
                 else:
                     labels.append(None)
@@ -327,7 +325,7 @@ class TestLabels:
             med = float(np.median(list(normal.values()))) if normal else 0.0
             for j, m in normal.items():
                 labels[j] = "normal-high" if m > med else "normal-low"
-            assert label_clusters(model, basis, th) == tuple(labels)
+            assert label_clusters(model, basis) == tuple(labels)
 
     def test_centroid_dimension_mismatch(self, planted):
         model = kmeans(planted["scores"][:, :2], 2, seed=0)
@@ -373,16 +371,16 @@ class TestClassifyItem:
             assert a == b
 
 
-def reference_item_label(curve, th):
+def reference_item_label(curve, evergreen_tol=0.05):
     """Scalar statement of the item rules, in order, for one curve."""
     t = len(curve)
     peak = curve.max()
-    if np.all(np.diff(curve) >= -th.evergreen_rel_tol * peak):
+    if np.all(np.diff(curve) >= -evergreen_tol * peak):
         return "evergreen"
     peak_year = int(np.argmax(curve)) + 1
-    if peak_year <= th.flash_peak_frac * t and curve[-1] < th.flash_end_frac * peak:
+    if peak_year <= 1.0 / 6.0 * t and curve[-1] < 0.2 * peak:
         return "flash-in-the-pan"
-    if peak_year > th.delayed_frac * t:
+    if peak_year > 0.5 * t:
         return "delayed document"
     return "normal document"
 
@@ -394,11 +392,11 @@ def spike(peak_years, base, t=30):
 
 
 class TestClassifyItems:
-    def check(self, curves, th=None):
+    def check(self, curves, *evergreen_tol):
         curves = np.asarray(curves, dtype=float)
-        batch = classify_items(curves, th)
-        rows = [classify_item(synthetic_curve_fit(c), th) for c in curves]
-        assert batch == rows == [reference_item_label(c, th or ShapeThresholds()) for c in curves]
+        batch = classify_items(curves, *evergreen_tol)
+        rows = [classify_item(synthetic_curve_fit(c), *evergreen_tol) for c in curves]
+        assert batch == rows == [reference_item_label(c, *evergreen_tol) for c in curves]
         return batch
 
     def test_planted_fits(self, planted):
@@ -423,10 +421,9 @@ class TestClassifyItems:
         ]
 
     def test_decline_exactly_at_evergreen_tolerance(self):
-        th = ShapeThresholds(evergreen_rel_tol=0.25)
         at = np.array([4.0, 3.0] + [3.0] * 28)
         past = np.array([4.0, 2.5] + [2.5] * 28)
-        assert self.check([at, past], th) == ["evergreen", "normal document"]
+        assert self.check([at, past], 0.25) == ["evergreen", "normal document"]
 
 
 class TestMetrics:

@@ -226,6 +226,16 @@ class TestInvariants:
         with pytest.raises(DataError, match="at least 2 years"):
             TimeGrid(1)
 
+    def test_grid_length_bound(self):
+        # At 1023 years a row of 2**53 counts sums exactly in int64; at 1024
+        # it would wrap, so the grid is refused.
+        corpus = Corpus(TimeGrid(1023), ("a",), np.full((1, 1023), MAX_COUNT))
+        kept = filter_by_total(corpus, 1).corpus
+        assert kept.ids == ("a",)
+        assert int(kept.counts.sum(axis=1)[0]) == 1023 * MAX_COUNT
+        with pytest.raises(DataError, match="at most 1023 years"):
+            TimeGrid(1024)
+
     def test_mismatched_length(self):
         with pytest.raises(DataError, match="counts"):
             Corpus(TimeGrid(3), ("a",), [[1, 2]])

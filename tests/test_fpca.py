@@ -5,12 +5,11 @@ from citetraj import poisson, synthgen
 from citetraj.data import Corpus, TimeGrid
 from citetraj.errors import ConfigError, DataError, NumericalError
 from citetraj.fpca import (
-    BandwidthPolicy,
-    BasisPolicy,
     LatentBasis,
     covariance_matrix,
     eigendecompose_symmetric,
     estimate_mean,
+    fve_basis_size,
     select_k_loglik,
     truncate_basis,
 )
@@ -38,7 +37,7 @@ class TestEstimateMean:
 
     def test_fixed_bandwidth_policy(self):
         corpus = corpus_of([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]])
-        curve = estimate_mean(corpus, BandwidthPolicy("fixed", value=2.5))
+        curve = estimate_mean(corpus, 2.5)
         assert curve.bandwidth == 2.5
 
     def test_empty_corpus(self):
@@ -174,34 +173,31 @@ class TestTruncate:
         values = np.array([4.0, 3.0, 2.0, 1.0])
         functions = np.eye(4)
         basis = truncate_basis(self.mean_curve(), values, functions,
-                               BasisPolicy("fve", tau=0.65))
+                               fve_basis_size(values, 0.65))
         assert basis.k == 2
         assert basis.fve == pytest.approx([0.4, 0.7])
 
     def test_fixed_four(self):
         values = np.array([4.0, 3.0, 2.0, 1.0])
-        basis = truncate_basis(self.mean_curve(), values, np.eye(4),
-                               BasisPolicy("fixed", k=4))
+        basis = truncate_basis(self.mean_curve(), values, np.eye(4), 4)
         assert basis.k == 4
         assert basis.fve[-1] == pytest.approx(1.0)
 
     def test_fve_tau_one_keeps_all_positive(self):
         values = np.array([4.0, 3.0, 0.0, -1e-12])
         basis = truncate_basis(self.mean_curve(), values, np.eye(4),
-                               BasisPolicy("fve", tau=1.0))
+                               fve_basis_size(values, 1.0))
         assert basis.k == 2
         assert basis.fve[-1] == pytest.approx(1.0)
 
     def test_k_exceeds_positive_count(self):
         values = np.array([4.0, 0.0, 0.0, 0.0])
         with pytest.raises(ConfigError, match="positive"):
-            truncate_basis(self.mean_curve(), values, np.eye(4),
-                           BasisPolicy("fixed", k=2))
+            truncate_basis(self.mean_curve(), values, np.eye(4), 2)
 
     def test_negative_clamped(self):
         values = np.array([4.0, 1.0, -1e-12, -2e-11])
-        basis = truncate_basis(self.mean_curve(), values, np.eye(4),
-                               BasisPolicy("fixed", k=2))
+        basis = truncate_basis(self.mean_curve(), values, np.eye(4), 2)
         assert (basis.eigenvalues >= 0).all()
 
     def test_trace_preservation(self, planted):
@@ -245,7 +241,7 @@ class TestSelectK:
             mean = estimate_mean(corpus)
             cov = covariance_matrix(corpus, mean.values)
             values, functions = eigendecompose_symmetric(cov)
-            basis = truncate_basis(mean, values, functions, BasisPolicy("fixed", k=4))
+            basis = truncate_basis(mean, values, functions, 4)
             table = select_k_loglik(corpus, basis, range(1, 5))
             hits += table.recommended_k == 2
         assert hits >= 18  # >= 90% of 20 replications

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from citetraj import poisson, synthgen
+from citetraj import clustering, fpca, poisson, synthgen
 from citetraj.data import write_corpus
 from citetraj.errors import ConfigError, DataError, StageError
 from citetraj.pipeline import (
@@ -32,6 +32,14 @@ def corpus_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def model(corpus_path):
     return run_pipeline(PipelineConfig(input=corpus_path, seed=8))
+
+
+@pytest.fixture(scope="module")
+def tuned(corpus_path):
+    """A run with the user-set bandwidth, FVE and evergreen tolerance away
+    from their defaults."""
+    return run_pipeline(PipelineConfig(input=corpus_path, seed=8, baseline=False,
+                                       bandwidth=2.5, fve=0.9, evergreen_tol=0.25))
 
 
 class TestRunPipeline:
@@ -307,6 +315,27 @@ class TestConfig:
             PipelineConfig(fve=1.5)
         with pytest.raises(ConfigError):
             PipelineConfig(k_clusters=0)
+
+    def test_bandwidth_reaches_mean_stage(self, tuned):
+        # 2.5 is not a GCV candidate.
+        assert tuned.data["mean"]["bandwidth"] == 2.5
+
+    def test_fve_reaches_eigenbasis_stage(self, tuned):
+        k = fpca.fve_basis_size(tuned.data["spectrum"], 0.9)
+        assert tuned.basis().k == k
+        assert k != PipelineConfig().k_basis
+
+    def test_evergreen_tol_reaches_label_stages(self, tuned):
+        intensity = tuned.intensities()
+        labels = clustering.classify_items(intensity, evergreen_tol=0.25)
+        assert tuned.data["item_labels"] == labels
+        assert labels != clustering.classify_items(intensity)
+        cfg = PipelineConfig(**tuned.data["config"])
+        args = (cfg.method, tuned.scores(), cfg.k_clusters, tuned.basis(), cfg.seed,
+                cfg.restarts, cfg.standardize)
+        entry = tuned.cluster_entry()
+        assert entry["labels"] == list(clustering.cluster_and_label(*args, 0.25).labels)
+        assert entry["labels"] != list(clustering.cluster_and_label(*args).labels)
 
     def test_fve_policy_used(self, corpus_path):
         cfg = PipelineConfig(input=corpus_path, seed=8, fve=0.5, baseline=False)

@@ -122,7 +122,7 @@ class TestKde:
         samples = rng.standard_normal(500)
         h = silverman_bandwidth(samples)
         grid = np.linspace(-4, 4, 401)
-        est = gaussian_kde(samples, "silverman", grid)
+        est = gaussian_kde(samples, h, grid)
         truth = np.exp(-0.5 * grid ** 2) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(est.densities - truth)) < 0.05
         assert est.bandwidth == pytest.approx(h)
@@ -131,14 +131,14 @@ class TestKde:
         rng = np.random.default_rng(9)
         samples = np.concatenate([rng.standard_normal(80), rng.standard_normal(40) + 5])
         h = silverman_bandwidth(samples)
-        est = gaussian_kde(samples, "silverman", kde_eval_grid(samples, h, 512))
+        est = gaussian_kde(samples, h, kde_eval_grid(samples, h, 512))
         assert (est.densities >= 0).all()
         assert 0.98 <= est.integral() <= 1.0
 
     def test_zero_variance_directs_to_fixed(self):
         with pytest.raises(NumericalError, match="fixed bandwidth"):
-            gaussian_kde([2.0, 2.0, 2.0], "silverman", [2.0])
+            silverman_bandwidth(np.array([2.0, 2.0, 2.0]))
 
     def test_silverman_needs_two(self):
         with pytest.raises(NumericalError, match="at least 2"):
-            gaussian_kde([1.0], "silverman", [1.0])
+            silverman_bandwidth(np.array([1.0]))

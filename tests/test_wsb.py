@@ -248,8 +248,7 @@ class TestBatch:
                 batched.lam[i], batched.mu[i], batched.sigma[i])
             assert single.objective == batched.objective[i]
             assert single.converged == batched.converged[i]
-            # The batched MSE comes from the columnar curve; the one-item
-            # view's curve is wsb_cumulative differenced.
+            # The one-item view's annual curve is wsb_curve differenced.
             assert single.mse == batched.mse[i] == np.mean((y[i] - single.annual_fitted) ** 2)
 
 
