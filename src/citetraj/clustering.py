@@ -2,11 +2,15 @@
 
 Three clustering families cover the robustness comparison: k-means
 (k-means++ seeding, Lloyd iterations, best of restarts), PAM k-medoids
-(build + swap, squared Euclidean cost), and Ward agglomeration on scipy's
-``linkage``; ``cluster`` runs any of ``METHODS`` by name.  Cluster centroids
-are mapped back to intensity curves through the latent basis and labeled by
-shape: evergreen (no yearly decline beyond tolerance), delayed (late peak),
-or normal split into high and low levels; ``cluster_and_label`` does both.
+(build + swap under squared Euclidean cost; the swap is FastPAM1 of Schubert
+& Rousseeuw 2019, which makes PAM's swaps), and Ward agglomeration on scipy's
+``linkage``; ``cluster`` runs any of ``METHODS`` by name.  k-medoids keeps
+one n x n distance matrix, as Ward's linkage keeps its condensed one; it and
+the silhouette read distances ``_BLOCK`` rows at a time, so their other
+temporaries are O(n * _BLOCK).  Cluster centroids are mapped back to
+intensity curves through the latent basis and labeled by shape: evergreen
+(no yearly decline beyond tolerance), delayed (late peak), or normal split
+into high and low levels; ``cluster_and_label`` does both.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ ITEM_LABELS = ("evergreen", "flash-in-the-pan", "delayed document", "normal docu
 METHODS = ("kmeans", "kmedoids", "ward")
 
 _MAX_LLOYD_ITER = 300
+# Rows of an n x n distance matrix that ``kmedoids`` and ``silhouette_mean``
+# handle at a time, so their temporaries are O(n * _BLOCK) doubles.
+_BLOCK = 32
 
 # Shape rules.  ``EVERGREEN_TOL`` is the default per-step decline tolerated
 # as a fraction of the curve maximum; a perfectly flat curve therefore counts
@@ -182,49 +189,72 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
     )
 
 
-def kmedoids(points, k: int, seed: int = 0) -> ClusterModel:
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK`` rows covering ``range(n)``."""
+    return [slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
+
+
+def kmedoids(points, k: int) -> ClusterModel:
     """PAM (build + swap) k-medoids under squared Euclidean cost.
 
-    Fully deterministic: build picks greedily, swap applies the best strict
-    improvement each pass, ties resolve to the smallest index.  ``seed`` is
-    accepted for interface parity but unused.
+    Each swap pass scores every (medoid, candidate) pair at once with
+    FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids Clustering", SISAP
+    2019 / Information Systems 2021).  With d1, d2 each point's distances to
+    its nearest and second-nearest medoid, swapping medoid m for x costs
+    sum_o min(d[o, x], d1[o]) plus, over the points o nearest to m,
+    min(d[o, x], d2[o]) - min(d[o, x], d1[o]); a pass is O(n^2) rather than
+    PAM's O(k n^2).  Like PAM (Kaufman & Rousseeuw 1990), build adds the
+    medoid of largest gain and each pass applies the best strict improvement,
+    ties to the first medoid position and then the smallest candidate index,
+    so in exact arithmetic (e.g. integer points) the medoids are PAM's.  On
+    other data, swaps that tie exactly can be ordered differently by
+    rounding.  Memory is the one n x n distance matrix plus O(n * _BLOCK).
     """
     points = _check_points(points, k)
     n = len(points)
+    # Exactly symmetric (each pair is summed in the same order both ways),
+    # so row x holds the distances to candidate x: blocks are whole rows.
     d = _sq_dists(points, points)
+    blocks = _blocks(n)
 
     # BUILD: start from the 1-medoid optimum, then add greedily.
     medoids = [int(np.argmin(d.sum(axis=1)))]
-    nearest = d[:, medoids[0]].copy()
+    nearest = d[medoids[0]].copy()
+    gains = np.empty(n)
     while len(medoids) < k:
-        gains = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        for b in blocks:
+            gains[b] = np.maximum(nearest - d[b], 0.0).sum(axis=1)
         gains[medoids] = -np.inf
         pick = int(np.argmax(gains))
         medoids.append(pick)
-        nearest = np.minimum(nearest, d[:, pick])
+        nearest = np.minimum(nearest, d[pick])
 
     # SWAP: replace (medoid, candidate) pairs while the cost strictly drops.
     medoids = sorted(medoids)
-    while True:
+    costs = np.empty((k, n))
+    while n > k:
         dm = d[:, medoids]
         order = np.argsort(dm, axis=1, kind="stable")
         d1 = dm[np.arange(n), order[:, 0]]
         d2 = dm[np.arange(n), order[:, 1]] if k > 1 else np.full(n, np.inf)
-        cost = float(d1.sum())
-        best_cost, best_swap = cost, None
-        in_set = np.zeros(n, dtype=bool)
-        in_set[medoids] = True
-        candidates = np.nonzero(~in_set)[0]
-        if candidates.size == 0:
-            break
+        # Points grouped by nearest medoid position: group p is ends[p]:ends[p + 1].
+        by_pos = np.argsort(order[:, 0], kind="stable")
+        ends = np.concatenate([[0], np.cumsum(np.bincount(order[:, 0], minlength=k))])
+        d1_g, d2_g = d1[by_pos], d2[by_pos]
+        for b in blocks:
+            rows = d[b, by_pos]
+            near = np.minimum(rows, d1_g)
+            shared = near.sum(axis=1)
+            np.minimum(rows, d2_g, out=rows)
+            rows -= near
+            for pos in range(k):
+                costs[pos, b] = shared + rows[:, ends[pos] : ends[pos + 1]].sum(axis=1)
+        costs[:, medoids] = np.inf
+        best_cost, best_swap = float(d1.sum()), None
         for pos in range(k):
-            removed_nearest = np.where(order[:, 0] == pos, d2, d1)
-            trial = np.minimum(removed_nearest[:, None], d[:, candidates])
-            costs = trial.sum(axis=0)
-            best_h = int(np.argmin(costs))
-            if costs[best_h] < best_cost - 1e-12:
-                best_cost = float(costs[best_h])
-                best_swap = (pos, int(candidates[best_h]))
+            h = int(np.argmin(costs[pos]))
+            if costs[pos, h] < best_cost - 1e-12:
+                best_cost, best_swap = float(costs[pos, h]), (pos, h)
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
@@ -235,7 +265,7 @@ def kmedoids(points, k: int, seed: int = 0) -> ClusterModel:
     centroids = points[med_arr]
     return ClusterModel(
         method="kmedoids", k=k, centroids=centroids, assignments=assign,
-        within_ss=_within_ss(points, centroids, assign), seed=seed,
+        within_ss=_within_ss(points, centroids, assign), seed=0,
         details={"medoid_indices": [int(m) for m in medoids]},
     )
 
@@ -281,7 +311,7 @@ def cluster(method: str, points, k: int, seed: int = 0, restarts: int = 10) -> C
     if method == "kmeans":
         return kmeans(points, k, seed=seed, restarts=restarts)
     if method == "kmedoids":
-        return kmedoids(points, k, seed=seed)
+        return replace(kmedoids(points, k), seed=seed)
     if method == "ward":
         return ward(points, k)
     raise ConfigError(f"unknown clustering methods: {[method]}")
@@ -417,8 +447,12 @@ def silhouette_mean(points, assignments) -> float:
         raise ConfigError("silhouette needs at least 2 clusters")
     n = len(points)
     rows = np.arange(n)
-    # Summed distance from each point to every cluster, in one matmul.
-    sums = cdist(points, points) @ np.eye(len(labels))[own]
+    # Summed distance from each point to every cluster, one block of rows
+    # (a matmul of its distances with the one-hot labels) at a time.
+    onehot = np.eye(len(labels))[own]
+    sums = np.empty((n, len(labels)))
+    for b in _blocks(n):
+        sums[b] = cdist(points[b], points) @ onehot
     sizes = np.bincount(own)
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     means = sums / sizes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citetraj import clustering
 from citetraj.clustering import (
     adjusted_rand_index,
     classify_item,
@@ -98,7 +99,83 @@ class TestKmeans:
             kmeans(np.zeros((2, 2)), 3)
 
 
+def reference_pam(points, k):
+    """Plain PAM (build + swap) used as the oracle for ``kmedoids``.
+
+    Each swap pass scores every (medoid position, candidate) pair with a
+    full O(n) sum.  In exact arithmetic it makes the swaps that ``kmedoids``
+    makes; on points whose distances round (e.g. 0.1-scaled lattices) swaps
+    that tie exactly can be ordered differently, so only exact inputs are
+    compared for equality.
+    """
+    n = len(points)
+    d = ((points[:, None, :] - points[None]) ** 2).sum(axis=2)
+    medoids = [int(np.argmin(d.sum(axis=1)))]
+    nearest = d[:, medoids[0]].copy()
+    while len(medoids) < k:
+        gains = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        gains[medoids] = -np.inf
+        pick = int(np.argmax(gains))
+        medoids.append(pick)
+        nearest = np.minimum(nearest, d[:, pick])
+    medoids = sorted(medoids)
+    while True:
+        dm = d[:, medoids]
+        order = np.argsort(dm, axis=1, kind="stable")
+        d1 = dm[np.arange(n), order[:, 0]]
+        d2 = dm[np.arange(n), order[:, 1]] if k > 1 else np.full(n, np.inf)
+        best_cost, best_swap = float(d1.sum()), None
+        candidates = np.setdiff1d(np.arange(n), medoids)
+        if candidates.size == 0:
+            break
+        for pos in range(k):
+            removed_nearest = np.where(order[:, 0] == pos, d2, d1)
+            costs = np.minimum(removed_nearest[:, None], d[:, candidates]).sum(axis=0)
+            best_h = int(np.argmin(costs))
+            if costs[best_h] < best_cost - 1e-12:
+                best_cost = float(costs[best_h])
+                best_swap = (pos, int(candidates[best_h]))
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+        medoids = sorted(medoids)
+    return medoids, np.argmin(d[:, medoids], axis=1)
+
+
+def pam_inputs():
+    """Integer lattices (exact arithmetic, many ties) and Gaussian sets."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 60))
+        yield rng.integers(0, 3, size=(n, 2)).astype(float)
+        yield rng.integers(-4, 5, size=(n, 3)).astype(float)
+        yield rng.standard_normal((n, 1 + seed % 4))
+
+
 class TestKmedoids:
+    def test_matches_reference_pam(self):
+        for points in pam_inputs():
+            for k in range(1, 7):
+                model = kmedoids(points, k)
+                medoids, assign = reference_pam(points, k)
+                assert model.details["medoid_indices"] == medoids
+                assert np.array_equal(model.assignments, assign)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((150, 3))
+        labels = rng.integers(0, 4, 150)
+        runs = []
+        for block in (clustering._BLOCK, 1, 7):
+            monkeypatch.setattr(clustering, "_BLOCK", block)
+            runs.append((kmedoids(points, 5), silhouette_mean(points, labels)))
+        (base, base_sil), rest = runs[0], runs[1:]
+        for model, sil in rest:
+            assert model.details == base.details
+            assert np.array_equal(model.assignments, base.assignments)
+            assert model.within_ss == base.within_ss
+            assert sil == pytest.approx(base_sil, rel=1e-12)
+
     def test_k_equals_n(self):
         rng = np.random.default_rng(7)
         points = rng.standard_normal((5, 2))
@@ -227,6 +304,27 @@ def test_peak_memory_is_quadratic_without_dimension_factor(kernel):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * n * n * 8
+
+
+@pytest.mark.parametrize("kernel, bound", [("kmedoids", 1.5), ("silhouette_mean", 0.25)])
+def test_peak_memory_is_one_distance_matrix_plus_blocks(kernel, bound):
+    # kmedoids keeps one n x n matrix and silhouette_mean none; both read
+    # distances in blocks of rows, so the rest is O(n * block).
+    n, d = 1500, 12
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((n, d))
+    labels = np.arange(n) % 4
+    run = {
+        "kmedoids": lambda: kmedoids(points, 4),
+        "silhouette_mean": lambda: silhouette_mean(points, labels),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n * n * 8
 
 
 def synthetic_curve_fit(intensity):
