@@ -4,10 +4,13 @@ Three clustering families cover the robustness comparison: k-means
 (k-means++ seeding, Lloyd iterations, best of restarts), PAM k-medoids
 (build + swap under squared Euclidean cost; the swap is FastPAM1 of Schubert
 & Rousseeuw 2019, which makes PAM's swaps), and Ward agglomeration on scipy's
-``linkage``; ``cluster`` runs any of ``METHODS`` by name.  k-medoids keeps
-one n x n distance matrix, as Ward's linkage keeps its condensed one; it and
-the silhouette read distances ``_BLOCK`` rows at a time, so their other
-temporaries are O(n * _BLOCK).  Cluster centroids are mapped back to
+``linkage``; ``cluster`` runs any of ``METHODS`` by name for one K.
+``kmedoids`` and ``ward`` take a list of K and share work between them: one
+n x n distance matrix and one greedy BUILD (which is nested in K) for all
+k-medoids cells, one Ward tree cut at every K.  k-medoids keeps that one
+matrix, as Ward's linkage keeps its condensed one; it and the silhouette
+read distances ``_BLOCK`` rows at a time, so their other temporaries are
+O(n * _BLOCK).  Cluster centroids are mapped back to
 intensity curves through the latent basis and labeled by shape: evergreen
 (no yearly decline beyond tolerance), delayed (late peak), or normal split
 into high and low levels; ``cluster_and_label`` does both.
@@ -92,16 +95,16 @@ class ClusterModel:
         return replace(self, labels=tuple(labels))
 
 
-def _check_points(points, k: int) -> np.ndarray:
+def _check_points(points, ks: Sequence[int]) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ConfigError(f"points must be 2-d, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise DataError("points contain non-finite values")
-    if k < 1:
-        raise ConfigError(f"need K >= 1, got {k}")
-    if len(points) < k:
-        raise ConfigError(f"cannot form {k} clusters from {len(points)} points")
+    if min(ks) < 1:
+        raise ConfigError(f"need K >= 1, got {min(ks)}")
+    if len(points) < max(ks):
+        raise ConfigError(f"cannot form {max(ks)} clusters from {len(points)} points")
     return points
 
 
@@ -140,17 +143,24 @@ def _lloyd(points: np.ndarray, centers: np.ndarray):
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assign].sum()))
         if prev is not None and np.array_equal(assign, prev):
-            break
+            # The centers did not move since d2, so this is the final state.
+            return centers, assign, history[-1], history
         prev = assign
-        used = np.zeros(n, dtype=bool)
-        for j in range(k):
-            members = points[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-        empties = [j for j in range(k) if not np.any(assign == j)]
-        if empties:
+        # Each cluster's member sums in numpy's own order for a mean over
+        # rows: row by row for d > 1 (as bincount adds), pairwise for d = 1.
+        sizes = np.bincount(assign, minlength=k)
+        if points.shape[1] > 1:
+            sums = np.column_stack([np.bincount(assign, weights=col, minlength=k)
+                                    for col in points.T])
+        else:
+            sums = np.array([[points[assign == j, 0].sum()] for j in range(k)])
+        full = sizes > 0
+        centers[full] = sums[full] / sizes[full, None]
+        empties = np.flatnonzero(~full)
+        if empties.size:
             # Re-seed each empty centroid at the point currently farthest
             # from its assigned centroid (one point per empty cluster).
+            used = np.zeros(n, dtype=bool)
             gaps = d2[np.arange(n), assign].copy()
             for j in empties:
                 gaps[used] = -np.inf
@@ -171,7 +181,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
     and results are exactly reproducible.  Ties between restarts go to the
     lower restart index.
     """
-    points = _check_points(points, k)
+    points = _check_points(points, (k,))
     if restarts < 1:
         raise ConfigError(f"need at least 1 restart, got {restarts}")
     best = None
@@ -194,42 +204,28 @@ def _blocks(n: int) -> list[slice]:
     return [slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
 
 
-def kmedoids(points, k: int) -> ClusterModel:
-    """PAM (build + swap) k-medoids under squared Euclidean cost.
-
-    Each swap pass scores every (medoid, candidate) pair at once with
-    FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids Clustering", SISAP
-    2019 / Information Systems 2021).  With d1, d2 each point's distances to
-    its nearest and second-nearest medoid, swapping medoid m for x costs
-    sum_o min(d[o, x], d1[o]) plus, over the points o nearest to m,
-    min(d[o, x], d2[o]) - min(d[o, x], d1[o]); a pass is O(n^2) rather than
-    PAM's O(k n^2).  Like PAM (Kaufman & Rousseeuw 1990), build adds the
-    medoid of largest gain and each pass applies the best strict improvement,
-    ties to the first medoid position and then the smallest candidate index,
-    so in exact arithmetic (e.g. integer points) the medoids are PAM's.  On
-    other data, swaps that tie exactly can be ordered differently by
-    rounding.  Memory is the one n x n distance matrix plus O(n * _BLOCK).
-    """
-    points = _check_points(points, k)
-    n = len(points)
-    # Exactly symmetric (each pair is summed in the same order both ways),
-    # so row x holds the distances to candidate x: blocks are whole rows.
-    d = _sq_dists(points, points)
-    blocks = _blocks(n)
-
-    # BUILD: start from the 1-medoid optimum, then add greedily.
+def _pam_build(d: np.ndarray, k: int) -> list[int]:
+    """PAM's greedy BUILD: the 1-medoid optimum, then the medoid of largest
+    gain, k picks in pick order.  Each pick depends only on the earlier
+    ones, so the BUILD for K is the first K picks of any longer BUILD."""
+    n = len(d)
     medoids = [int(np.argmin(d.sum(axis=1)))]
     nearest = d[medoids[0]].copy()
     gains = np.empty(n)
     while len(medoids) < k:
-        for b in blocks:
+        for b in _blocks(n):
             gains[b] = np.maximum(nearest - d[b], 0.0).sum(axis=1)
         gains[medoids] = -np.inf
         pick = int(np.argmax(gains))
         medoids.append(pick)
         nearest = np.minimum(nearest, d[pick])
+    return medoids
 
-    # SWAP: replace (medoid, candidate) pairs while the cost strictly drops.
+
+def _pam_swap(d: np.ndarray, medoids: list[int]) -> list[int]:
+    """PAM's SWAP from ``medoids`` while the cost strictly drops (FastPAM1)."""
+    n, k = len(d), len(medoids)
+    blocks = _blocks(n)
     medoids = sorted(medoids)
     costs = np.empty((k, n))
     while n > k:
@@ -259,62 +255,112 @@ def kmedoids(points, k: int) -> ClusterModel:
             break
         medoids[best_swap[0]] = best_swap[1]
         medoids = sorted(medoids)
-
-    med_arr = np.asarray(medoids)
-    assign = np.argmin(d[:, med_arr], axis=1)
-    centroids = points[med_arr]
-    return ClusterModel(
-        method="kmedoids", k=k, centroids=centroids, assignments=assign,
-        within_ss=_within_ss(points, centroids, assign), seed=0,
-        details={"medoid_indices": [int(m) for m in medoids]},
-    )
+    return medoids
 
 
-def ward(points, k: int) -> ClusterModel:
-    """Agglomerative clustering with Ward linkage, cut at K clusters.
+def kmedoids(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
+    """PAM (build + swap) k-medoids under squared Euclidean cost, per K in ``ks``.
+
+    Each swap pass scores every (medoid, candidate) pair at once with
+    FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids Clustering", SISAP
+    2019 / Information Systems 2021).  With d1, d2 each point's distances to
+    its nearest and second-nearest medoid, swapping medoid m for x costs
+    sum_o min(d[o, x], d1[o]) plus, over the points o nearest to m,
+    min(d[o, x], d2[o]) - min(d[o, x], d1[o]); a pass is O(n^2) rather than
+    PAM's O(k n^2).  Like PAM (Kaufman & Rousseeuw 1990), build adds the
+    medoid of largest gain and each pass applies the best strict improvement,
+    ties to the first medoid position and then the smallest candidate index,
+    so in exact arithmetic (e.g. integer points) the medoids are PAM's.  On
+    other data, swaps that tie exactly can be ordered differently by
+    rounding.  BUILD adds one medoid at a time, so one BUILD to max(ks)
+    serves every K: each K swaps from its first K picks, and its model is
+    the one a call with ``(k,)`` gives.  Memory is the one n x n distance
+    matrix, freed on return, plus O(n * _BLOCK).
+    """
+    ks = sorted({int(k) for k in ks})
+    if not ks:
+        return {}
+    points = _check_points(points, ks)
+    # Exactly symmetric (each pair is summed in the same order both ways),
+    # so row x holds the distances to candidate x: blocks are whole rows.
+    d = _sq_dists(points, points)
+    build = _pam_build(d, ks[-1])
+    models = {}
+    for k in ks:
+        med_arr = np.asarray(_pam_swap(d, build[:k]))
+        assign = np.argmin(d[:, med_arr], axis=1)
+        centroids = points[med_arr]
+        models[k] = ClusterModel(
+            method="kmedoids", k=k, centroids=centroids, assignments=assign,
+            within_ss=_within_ss(points, centroids, assign), seed=0,
+            details={"medoid_indices": [int(m) for m in med_arr]},
+        )
+    return models
+
+
+def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
+    """Agglomerative clustering with Ward linkage, cut at each K in ``ks``.
 
     The hierarchy is scipy's ``linkage(points, "ward")``: Lance-Williams
-    merges from pairwise squared Euclidean distances.  The K clusters are
-    those left after its first n - K merges, numbered by smallest member.
-    ``details["merges"]`` lists those merges as (i, j, d2): i < j are the
-    smallest members of the merged clusters, d2 the squared merge height.
+    merges from pairwise squared Euclidean distances.  It is built once and
+    cut at every K: the K clusters are those left after its first n - K
+    merges, numbered by smallest member.  ``details["merges"]`` lists those
+    merges as (i, j, d2): i < j are the smallest members of the merged
+    clusters, d2 the squared merge height.
     """
-    points = _check_points(points, k)
+    ks = sorted({int(k) for k in ks})
+    if not ks:
+        return {}
+    points = _check_points(points, ks)
     n = len(points)
-    assign = np.zeros(n, dtype=int)
-    merges = np.zeros((0, 3))
+    assigns = {k: np.zeros(n, dtype=int) for k in ks}
+    merges = []
     if n > 1:
         z = linkage(points, "ward")
-        # Row r's monocrit is r, so the flat clusters are the subtrees
-        # formed by rows 0 .. n-k-1.
-        flat = fcluster(z, n - k - 1, criterion="monocrit", monocrit=np.arange(n - 1.0))
-        _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
-        assign = np.argsort(np.argsort(first))[inv]
+        # Row r's monocrit is r, so the flat clusters for K are the subtrees
+        # formed by rows 0 .. n-K-1.
+        monocrit = np.arange(n - 1.0)
+        for k in ks:
+            flat = fcluster(z, n - k - 1, criterion="monocrit", monocrit=monocrit)
+            _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
+            assigns[k] = np.argsort(np.argsort(first))[inv]
         # A cluster's smallest member is the smallest leaf child of any row
         # in its subtree; maxRstat takes that over each subtree as n - leaf
         # (rows without a leaf child score 0).
         stat = np.zeros((n - 1, 4))
         stat[:, 0] = np.maximum(n - z[:, :2].min(axis=1), 0.0)
         smallest = np.concatenate([np.arange(n), n - maxRstat(z, stat, 0)])
-        pairs = np.sort(smallest[z[: n - k, :2].astype(int)], axis=1)
-        merges = np.column_stack([pairs, z[: n - k, 2] ** 2])
-    centroids = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
-    return ClusterModel(
-        method="ward", k=k, centroids=centroids, assignments=assign,
-        within_ss=_within_ss(points, centroids, assign), seed=0,
-        details={"merges": [(int(a), int(b), float(c)) for a, b, c in merges]},
-    )
+        rows = n - ks[0]
+        pairs = np.sort(smallest[z[:rows, :2].astype(int)], axis=1)
+        merges = [(int(a), int(b), float(c))
+                  for a, b, c in np.column_stack([pairs, z[:rows, 2] ** 2])]
+    models = {}
+    for k in ks:
+        assign = assigns[k]
+        centroids = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
+        models[k] = ClusterModel(
+            method="ward", k=k, centroids=centroids, assignments=assign,
+            within_ss=_within_ss(points, centroids, assign), seed=0,
+            details={"merges": merges[: n - k]},
+        )
+    return models
+
+
+def _cluster_ks(method: str, points, ks: Sequence[int], seed: int,
+                restarts: int) -> dict[int, ClusterModel]:
+    """One model per K in ``ks`` from the method named ``method``."""
+    if method == "kmeans":
+        return {k: kmeans(points, k, seed=seed, restarts=restarts) for k in ks}
+    if method == "kmedoids":
+        return {k: replace(m, seed=seed) for k, m in kmedoids(points, ks).items()}
+    if method == "ward":
+        return ward(points, ks)
+    raise ConfigError(f"unknown clustering methods: {[method]}")
 
 
 def cluster(method: str, points, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
     """Run the clustering method named ``method`` (one of ``METHODS``)."""
-    if method == "kmeans":
-        return kmeans(points, k, seed=seed, restarts=restarts)
-    if method == "kmedoids":
-        return replace(kmedoids(points, k), seed=seed)
-    if method == "ward":
-        return ward(points, k)
-    raise ConfigError(f"unknown clustering methods: {[method]}")
+    return _cluster_ks(method, points, (k,), seed, restarts)[k]
 
 
 def _standardized(scores: np.ndarray, basis: LatentBasis | None, standardize: bool):
@@ -338,6 +384,13 @@ def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, se
     """
     scores = np.asarray(scores, dtype=float)
     model = cluster(method, _standardized(scores, basis, standardize), k, seed, restarts)
+    return _labelled(model, scores, basis, standardize, evergreen_tol)
+
+
+def _labelled(model: ClusterModel, scores: np.ndarray, basis: LatentBasis | None,
+              standardize: bool, evergreen_tol: float) -> ClusterModel:
+    """``model`` with the shape labels of its raw-score centroids (see
+    :func:`cluster_and_label`); unchanged without a basis."""
     if basis is None:
         return model
     raw = model.centroids * (np.sqrt(basis.eigenvalues) if standardize else 1.0)
@@ -486,10 +539,14 @@ def robustness_sweep(
 ) -> SweepReport:
     """Run every (K, method) cell and summarize agreement between methods.
 
-    Each cell is one ``cluster_and_label`` call (``evergreen_tol`` as there)
-    and reports within_ss, mean silhouette, cluster sizes, and (when a basis
-    is supplied) shape labels; for each K the pairwise adjusted Rand index between methods quantifies
-    robustness of the partition.
+    Each cell is the model ``cluster_and_label`` gives for that method and K
+    (``evergreen_tol`` as there) and reports within_ss, mean silhouette,
+    cluster sizes, and (when a basis is supplied) shape labels; for each K
+    the pairwise adjusted Rand index between methods quantifies robustness
+    of the partition.  Work shared between the K of one method is done once:
+    Ward builds one tree and cuts it at every K, and k-medoids builds one
+    distance matrix and one BUILD to the largest K and frees the matrix
+    before the next method runs.
     """
     scores = np.asarray(scores, dtype=float)
     points = _standardized(scores, basis, standardize)
@@ -500,10 +557,8 @@ def robustness_sweep(
     models: dict[tuple[str, int], ClusterModel] = {}
     cells: dict[str, dict[str, dict]] = {m: {} for m in methods}
     for method in methods:
-        for k in k_values:
-            model = cluster_and_label(
-                method, scores, k, basis, seed, restarts, standardize, evergreen_tol
-            )
+        for k, model in _cluster_ks(method, points, k_values, seed, restarts).items():
+            model = _labelled(model, scores, basis, standardize, evergreen_tol)
             models[(method, k)] = model
             sizes = np.bincount(model.assignments, minlength=k)
             cells[method][str(k)] = {

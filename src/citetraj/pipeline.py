@@ -427,12 +427,16 @@ def sensitivity(
 ) -> ModelFile:
     """Robustness sweeps on an already-fit model; returns an updated copy.
 
-    The (method, K) grid reclusters the fitted scores per cell.  The
-    citation-floor sweep reclusters the items whose totals reach each
-    threshold and reports the adjusted Rand index against the first
-    threshold's run on the common items, plus persistence of evergreen
-    cluster membership.  The sweeps use ``config`` (default: the model's
-    stored config) and leave the stored config as it is.
+    The (method, K) grid reclusters the fitted scores per cell (see
+    :func:`clustering.robustness_sweep`: one Ward tree and one k-medoids
+    matrix for all K).  The citation-floor sweep reclusters the items whose
+    totals reach each threshold and reports the adjusted Rand index against
+    the first threshold's run on the common items, plus persistence of
+    evergreen cluster membership.  A threshold that keeps every item reuses
+    the grid's (``config.method``, ``config.k_clusters``) cell when there is
+    one, since that cell is the same clustering of the same scores.  The
+    sweeps use ``config`` (default: the model's stored config) and leave the
+    stored config as it is.
     """
     cfg = config or PipelineConfig(**model.data["config"])
     basis = model.basis()
@@ -449,10 +453,16 @@ def sensitivity(
     runs = {}
     for tau in thresholds:
         mask = totals >= tau
-        runs[int(tau)] = mask, (clus.cluster_and_label(
-            cfg.method, scores[mask], k, basis, cfg.seed, cfg.restarts,
-            cfg.standardize, cfg.evergreen_tol,
-        ) if mask.sum() >= k else None)
+        if mask.all() and (cfg.method, k) in sweep.models:
+            run = sweep.cell(cfg.method, k)
+        elif mask.sum() >= k:
+            run = clus.cluster_and_label(
+                cfg.method, scores[mask], k, basis, cfg.seed, cfg.restarts,
+                cfg.standardize, cfg.evergreen_tol,
+            )
+        else:
+            run = None
+        runs[int(tau)] = mask, run
     base_tau = int(thresholds[0])
     base_mask, base = runs[base_tau]
     threshold_report = {"base_threshold": base_tau, "method": cfg.method, "k": k, "runs": {}}

@@ -194,7 +194,7 @@ def test_criterion_5_clustering_oracles():
     kmeans_ok = abs(km.within_ss - best) <= 1e-9 * max(1.0, best)
 
     points7 = rng.uniform(-5, 5, size=(7, 2))
-    pam = clus.kmedoids(points7, 2)
+    pam = clus.kmedoids(points7, [2])[2]
     d = ((points7[:, None, :] - points7[None]) ** 2).sum(axis=2)
     pam_best = min(
         np.minimum(d[:, a], d[:, b]).sum()

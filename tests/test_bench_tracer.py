@@ -36,3 +36,25 @@ def test_every_site_is_wrapped_and_restored():
             assert wrapped.__wrapped__ is original, (mod.__name__, attr)
     for (mod, attr), original in zip(sites, originals):
         assert getattr(mod, attr) is original, (mod.__name__, attr)
+
+
+def test_sensitivity_reaches_the_clustering_spans():
+    # The sweep must still call each clustering kernel through the module
+    # attribute the tracer wraps, or its spans go dark on the benchmark.
+    from citetraj import pipeline, synthgen
+
+    corpus, _ = synthgen.simulate_corpus(synthgen.default_spec(120, seed=3))
+    model = pipeline.run_pipeline(pipeline.PipelineConfig(seed=3, baseline=False),
+                                  corpus=corpus)
+    tracer = load_tracer()
+    with tracer.installed(tracer.Tracer()) as recorder:
+        pipeline.sensitivity(model, k_values=(2, 3))
+    fired = {name for name, *_ in recorder.spans}
+    assert {
+        "pipeline.sensitivity",
+        "clustering.robustness_sweep",
+        "clustering.kmeans",
+        "clustering.kmedoids",
+        "clustering.ward",
+        "clustering.silhouette_mean",
+    } <= fired

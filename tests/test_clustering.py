@@ -99,6 +99,86 @@ class TestKmeans:
             kmeans(np.zeros((2, 2)), 3)
 
 
+def reference_lloyd(points, centers, reseeds=None):
+    """Lloyd iterations with a per-cluster mean loop, the oracle for
+    ``clustering._lloyd``; appends each re-seeded cluster to ``reseeds``."""
+    n, k = len(points), len(centers)
+    prev = None
+    history = []
+    for _ in range(clustering._MAX_LLOYD_ITER):
+        d2 = clustering._sq_dists(points, centers)
+        assign = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), assign].sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        used = np.zeros(n, dtype=bool)
+        for j in range(k):
+            members = points[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+        empties = [j for j in range(k) if not np.any(assign == j)]
+        if empties:
+            gaps = d2[np.arange(n), assign].copy()
+            for j in empties:
+                gaps[used] = -np.inf
+                far = int(np.argmax(gaps))
+                centers[j] = points[far]
+                used[far] = True
+                if reseeds is not None:
+                    reseeds.append(j)
+    d2 = clustering._sq_dists(points, centers)
+    assign = np.argmin(d2, axis=1)
+    ss = float(d2[np.arange(n), assign].sum())
+    return centers, assign, ss, history
+
+
+def lloyd_inputs():
+    """Lattices with fewer distinct points than K (clusters empty out) and
+    Gaussian sets, including one-dimensional ones."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        yield rng.integers(0, 2, size=(n, 2)).astype(float)
+        yield rng.integers(-1, 2, size=(n, 1)).astype(float)
+        yield rng.standard_normal((n, 1 + seed % 3))
+
+
+class TestLloyd:
+    def test_kmeans_matches_reference_loop(self, monkeypatch):
+        runs = []
+        for points in lloyd_inputs():
+            for k in range(1, 8):
+                runs.append((points, k, kmeans(points, k, seed=k, restarts=3)))
+        reseeds = []
+        monkeypatch.setattr(clustering, "_lloyd",
+                            lambda p, c: reference_lloyd(p, c, reseeds))
+        for points, k, model in runs:
+            ref = kmeans(points, k, seed=k, restarts=3)
+            assert np.array_equal(model.centroids, ref.centroids)
+            assert np.array_equal(model.assignments, ref.assignments)
+            assert model.within_ss == ref.within_ss
+            assert model.details == ref.details
+        assert reseeds  # the lattices re-seed empty clusters
+
+    def test_matches_reference_from_any_start(self):
+        # Starts with duplicated and far-off centers empty clusters out.
+        reseeded = 0
+        for i, points in enumerate(lloyd_inputs()):
+            rng = np.random.default_rng(i)
+            k = min(6, len(points))
+            start = points[rng.integers(0, len(points), k)].copy()
+            start[-1] = 1e3
+            reseeds = []
+            got = clustering._lloyd(points, start.copy())
+            ref = reference_lloyd(points, start.copy(), reseeds)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+            assert got[2:] == ref[2:]
+            reseeded += bool(reseeds)
+        assert reseeded >= 10
+
+
 def reference_pam(points, k):
     """Plain PAM (build + swap) used as the oracle for ``kmedoids``.
 
@@ -156,7 +236,7 @@ class TestKmedoids:
     def test_matches_reference_pam(self):
         for points in pam_inputs():
             for k in range(1, 7):
-                model = kmedoids(points, k)
+                model = kmedoids(points, [k])[k]
                 medoids, assign = reference_pam(points, k)
                 assert model.details["medoid_indices"] == medoids
                 assert np.array_equal(model.assignments, assign)
@@ -168,7 +248,7 @@ class TestKmedoids:
         runs = []
         for block in (clustering._BLOCK, 1, 7):
             monkeypatch.setattr(clustering, "_BLOCK", block)
-            runs.append((kmedoids(points, 5), silhouette_mean(points, labels)))
+            runs.append((kmedoids(points, [5])[5], silhouette_mean(points, labels)))
         (base, base_sil), rest = runs[0], runs[1:]
         for model, sil in rest:
             assert model.details == base.details
@@ -179,7 +259,7 @@ class TestKmedoids:
     def test_k_equals_n(self):
         rng = np.random.default_rng(7)
         points = rng.standard_normal((5, 2))
-        model = kmedoids(points, 5)
+        model = kmedoids(points, [5])[5]
         assert model.within_ss == pytest.approx(0.0, abs=1e-12)
         assert sorted(model.details["medoid_indices"]) == [0, 1, 2, 3, 4]
 
@@ -187,20 +267,72 @@ class TestKmedoids:
         points = np.array(
             [[0, 0], [0.1, 0], [0, 0.1], [9, 9], [9.1, 9], [9, 9.1]], dtype=float
         )
-        model = kmedoids(points, 2)
+        model = kmedoids(points, [2])[2]
         medoids = model.details["medoid_indices"]
         assert len({m < 3 for m in medoids}) == 2  # one medoid per triple
 
     def test_matches_exhaustive_pairs(self):
         rng = np.random.default_rng(23)
         points = rng.uniform(-4, 4, size=(7, 2))
-        model = kmedoids(points, 2)
+        model = kmedoids(points, [2])[2]
         d = ((points[:, None, :] - points[None]) ** 2).sum(axis=2)
         best = min(
             np.minimum(d[:, a], d[:, b]).sum()
             for a, b in itertools.combinations(range(7), 2)
         )
         assert model.within_ss == pytest.approx(best, rel=1e-12)
+
+
+def assert_same_model(a, b):
+    assert (a.method, a.k, a.seed, a.labels) == (b.method, b.k, b.seed, b.labels)
+    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a.assignments, b.assignments)
+    assert a.within_ss == b.within_ss
+    assert a.details == b.details
+
+
+class TestSharedAcrossK:
+    """One call for many K gives, per K, the model of a call for that K alone."""
+
+    KS = (1, 2, 3, 5, 6)
+
+    def inputs(self, planted):
+        yield from pam_inputs()
+        yield planted["scores"]
+        yield planted["scores"][:97] / np.sqrt(planted["basis"].eigenvalues)
+
+    @pytest.mark.parametrize("method", ["kmedoids", "ward"])
+    def test_each_k_matches_its_own_call(self, planted, method):
+        run = {"kmedoids": kmedoids, "ward": ward}[method]
+        for points in self.inputs(planted):
+            models = run(points, self.KS)
+            assert list(models) == list(self.KS)
+            for k in self.KS:
+                assert_same_model(models[k], run(points, [k])[k])
+
+    def test_ks_are_deduplicated_and_sorted(self):
+        points = np.random.default_rng(0).standard_normal((30, 2))
+        for run in (kmedoids, ward):
+            models = run(points, [4, 2, 4])
+            assert list(models) == [2, 4]
+            assert run(points, []) == {}
+
+    def test_build_for_k_is_a_prefix_of_the_longest_build(self, planted):
+        for points in self.inputs(planted):
+            d = clustering._sq_dists(points, points)
+            kmax = min(8, len(points))
+            longest = clustering._pam_build(d, kmax)
+            assert len(set(longest)) == kmax
+            for k in range(1, kmax):
+                assert clustering._pam_build(d, k) == longest[:k]
+
+    def test_invalid_ks(self):
+        points = np.zeros((3, 2))
+        for run in (kmedoids, ward):
+            with pytest.raises(ConfigError):
+                run(points, [2, 4])
+            with pytest.raises(ConfigError):
+                run(points, [0, 2])
 
 
 def reference_ward_merges(points, k):
@@ -233,20 +365,20 @@ def reference_ward_merges(points, k):
 class TestWard:
     def test_k_equals_n_trivial(self):
         points = np.arange(8, dtype=float).reshape(4, 2)
-        model = ward(points, 4)
+        model = ward(points, [4])[4]
         assert sorted(model.assignments.tolist()) == [0, 1, 2, 3]
         assert model.within_ss == pytest.approx(0.0, abs=1e-12)
 
     def test_far_pairs_merge_first(self):
         points = np.array([[0, 0], [0.2, 0], [50, 50], [50.2, 50]], dtype=float)
-        model = ward(points, 2)
+        model = ward(points, [2])[2]
         assert model.assignments[0] == model.assignments[1]
         assert model.assignments[2] == model.assignments[3]
 
     def test_matches_reference_merge_trace(self):
         rng = np.random.default_rng(29)
         points = rng.uniform(-3, 3, size=(6, 2))
-        model = ward(points, 3)
+        model = ward(points, [3])[3]
         expected = reference_ward_merges(points, 3)
         got = model.details["merges"]
         assert len(got) == len(expected)
@@ -255,7 +387,7 @@ class TestWard:
             assert gd == pytest.approx(ed, rel=1e-10)
 
     def test_single_point(self):
-        model = ward(np.array([[1.5, -2.0]]), 1)
+        model = ward(np.array([[1.5, -2.0]]), [1])[1]
         assert model.assignments.tolist() == [0]
         assert model.centroids.tolist() == [[1.5, -2.0]]
         assert model.within_ss == 0.0
@@ -266,7 +398,7 @@ class TestWard:
         rng = np.random.default_rng(3)
         points = rng.integers(0, 3, size=(24, 2)).astype(float)
         for k in range(1, 25):
-            model = ward(points, k)
+            model = ward(points, [k])[k]
             merges = model.details["merges"]
             assert len(merges) == 24 - k
             assert all(i < j for i, j, _ in merges)
@@ -293,9 +425,9 @@ def test_peak_memory_is_quadratic_without_dimension_factor(kernel):
     points = rng.standard_normal((n, d))
     labels = np.arange(n) % 4
     run = {
-        "kmedoids": lambda: kmedoids(points, 4),
+        "kmedoids": lambda: kmedoids(points, [4])[4],
         "silhouette_mean": lambda: silhouette_mean(points, labels),
-        "ward": lambda: ward(points, 4),
+        "ward": lambda: ward(points, [4])[4],
     }[kernel]
     tracemalloc.start()
     try:
@@ -315,7 +447,7 @@ def test_peak_memory_is_one_distance_matrix_plus_blocks(kernel, bound):
     points = rng.standard_normal((n, d))
     labels = np.arange(n) % 4
     run = {
-        "kmedoids": lambda: kmedoids(points, 4),
+        "kmedoids": lambda: kmedoids(points, [4])[4],
         "silhouette_mean": lambda: silhouette_mean(points, labels),
     }[kernel]
     tracemalloc.start()
@@ -325,6 +457,20 @@ def test_peak_memory_is_one_distance_matrix_plus_blocks(kernel, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * n * n * 8
+
+
+def test_sweep_peak_memory_is_one_distance_matrix():
+    # The k-medoids matrix is freed before Ward's linkage and the
+    # silhouettes run, so the whole sweep peaks near one n x n matrix.
+    n, d = 1500, 12
+    points = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        robustness_sweep(points, range(2, 7), list(clustering.METHODS), seed=0, restarts=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def synthetic_curve_fit(intensity):
@@ -590,6 +736,18 @@ class TestSweep:
         assert sweep.report["cells"]["kmeans"]["2"]["within_ss"] == pytest.approx(
             direct.within_ss
         )
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_cells_match_cluster_and_label(self, planted, standardize):
+        scores, basis = planted["scores"], planted["basis"]
+        ks = (2, 4, 5)
+        sweep = robustness_sweep(scores, ks, list(clustering.METHODS), seed=3, restarts=2,
+                                 basis=basis, evergreen_tol=0.1, standardize=standardize)
+        for method in clustering.METHODS:
+            for k in ks:
+                fresh = clustering.cluster_and_label(method, scores, k, basis, 3, 2,
+                                                     standardize, 0.1)
+                assert_same_model(sweep.cell(method, k), fresh)
 
     def test_within_ss_nonincreasing_in_k(self, planted):
         points = planted["scores"]

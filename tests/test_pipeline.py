@@ -300,6 +300,48 @@ class TestSensitivity:
         assert cell["labels"] == model.cluster_entry()["labels"]
         assert cell["labels"] == swept.data["thresholds"]["runs"]["0"]["labels"]
 
+    @pytest.fixture
+    def recluster_calls(self, monkeypatch):
+        calls = []
+        real = clustering.cluster_and_label
+
+        def counted(method, scores, *args):
+            calls.append((method, len(scores)))
+            return real(method, scores, *args)
+
+        monkeypatch.setattr(clustering, "cluster_and_label", counted)
+        return calls
+
+    def test_full_floor_reuses_the_grid_cell(self, model, recluster_calls):
+        # Every item of this corpus has a total of at least 10, so both
+        # floors keep every item and reuse the (kmeans, 4) cell.
+        reused = sensitivity(model, thresholds=(0, 10), k_values=(4,), methods=("kmeans",))
+        assert recluster_calls == []
+        # Without a kmeans cell in the grid, the floors recluster.
+        fresh = sensitivity(model, thresholds=(0, 10), k_values=(4,), methods=("ward",))
+        assert recluster_calls == [("kmeans", 300), ("kmeans", 300)]
+        assert reused.data["thresholds"] == fresh.data["thresholds"]
+
+    def test_floor_that_drops_items_reclusters(self, model, recluster_calls):
+        # No total in this corpus is below 300, so the floors come from the
+        # totals: the lowest keeps every item, one more drops some.
+        totals = np.asarray(model.data["corpus"]["counts"]).sum(axis=1)
+        low = int(totals.min())
+        kept = int((totals >= low + 1).sum())
+        assert kept < 300
+        swept = sensitivity(model, thresholds=(low, low + 1), k_values=(3, 4),
+                            methods=("kmeans",))
+        assert recluster_calls == [("kmeans", kept)]
+        runs = swept.data["thresholds"]["runs"]
+        assert runs[str(low + 1)]["kept"] == kept
+        # The reclustered floor is the cluster_and_label run on the kept items.
+        cfg = PipelineConfig(**model.data["config"])
+        mask = totals >= low + 1
+        run = clustering.cluster_and_label(
+            cfg.method, model.scores()[mask], cfg.k_clusters, model.basis(), cfg.seed,
+            cfg.restarts, cfg.standardize, cfg.evergreen_tol)
+        assert runs[str(low + 1)]["labels"] == list(run.labels)
+
     def test_requires_nonempty_basis(self, corpus_path):
         cfg = PipelineConfig(input=corpus_path, seed=8, k_basis=0, baseline=False)
         model0 = run_pipeline(cfg)
