@@ -4,16 +4,17 @@ Three clustering families cover the robustness comparison: k-means
 (k-means++ seeding, Lloyd iterations, best of restarts), PAM k-medoids
 (build + swap under squared Euclidean cost; the swap is FastPAM1 of Schubert
 & Rousseeuw 2019, which makes PAM's swaps), and Ward agglomeration on scipy's
-``linkage``; ``cluster`` runs any of ``METHODS`` by name for one K.
-``kmedoids`` and ``ward`` take a list of K and share work between them: one
-n x n distance matrix and one greedy BUILD (which is nested in K) for all
-k-medoids cells, one Ward tree cut at every K.  k-medoids keeps that one
-matrix, as Ward's linkage keeps its condensed one; it and the silhouette
-read distances ``_BLOCK`` rows at a time, so their other temporaries are
-O(n * _BLOCK).  Cluster centroids are mapped back to
+``linkage``.  ``kmedoids`` and ``ward`` take a list of K and share work
+between them: one n x n distance matrix and one greedy BUILD (which is
+nested in K) for all k-medoids cells, one Ward tree cut at every K.
+k-medoids keeps that one matrix, as Ward's linkage keeps its condensed one;
+it and the silhouette read distances ``_BLOCK`` rows at a time, so their
+other temporaries are O(n * _BLOCK).  Cluster centroids are mapped back to
 intensity curves through the latent basis and labeled by shape: evergreen
 (no yearly decline beyond tolerance), delayed (late peak), or normal split
-into high and low levels; ``cluster_and_label`` does both.
+into high and low levels.  ``cluster_and_label`` is the one call that
+clusters: any of ``METHODS`` by name, at a list of K, then labels; the
+pipeline, the ``cluster`` command and both sensitivity sweeps go through it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "ClusterModel",
     "METHODS",
     "EVERGREEN_TOL",
-    "SweepReport",
-    "cluster",
     "cluster_and_label",
     "kmeans",
     "kmedoids",
@@ -88,11 +87,6 @@ class ClusterModel:
     seed: int
     labels: tuple[str, ...] | None = None
     details: dict = field(default_factory=dict)
-
-    def with_labels(self, labels: Sequence[str]) -> "ClusterModel":
-        if len(labels) != self.k:
-            raise ConfigError(f"need {self.k} labels, got {len(labels)}")
-        return replace(self, labels=tuple(labels))
 
 
 def _check_points(points, ks: Sequence[int]) -> np.ndarray:
@@ -346,23 +340,6 @@ def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
     return models
 
 
-def _cluster_ks(method: str, points, ks: Sequence[int], seed: int,
-                restarts: int) -> dict[int, ClusterModel]:
-    """One model per K in ``ks`` from the method named ``method``."""
-    if method == "kmeans":
-        return {k: kmeans(points, k, seed=seed, restarts=restarts) for k in ks}
-    if method == "kmedoids":
-        return {k: replace(m, seed=seed) for k, m in kmedoids(points, ks).items()}
-    if method == "ward":
-        return ward(points, ks)
-    raise ConfigError(f"unknown clustering methods: {[method]}")
-
-
-def cluster(method: str, points, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
-    """Run the clustering method named ``method`` (one of ``METHODS``)."""
-    return _cluster_ks(method, points, (k,), seed, restarts)[k]
-
-
 def _standardized(scores: np.ndarray, basis: LatentBasis | None, standardize: bool):
     if not standardize:
         return scores
@@ -371,11 +348,16 @@ def _standardized(scores: np.ndarray, basis: LatentBasis | None, standardize: bo
     return scores / np.sqrt(basis.eigenvalues)
 
 
-def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, seed: int = 0,
-                      restarts: int = 10, standardize: bool = False,
-                      evergreen_tol: float = EVERGREEN_TOL) -> ClusterModel:
-    """Cluster per-item scores and label each cluster by its shape.
+def cluster_and_label(method: str, scores, ks: Iterable[int], basis: LatentBasis | None,
+                      seed: int = 0, restarts: int = 10, standardize: bool = False,
+                      evergreen_tol: float = EVERGREEN_TOL) -> dict[int, ClusterModel]:
+    """Cluster per-item scores with ``method`` (one of ``METHODS``) at each K
+    in ``ks`` and label each cluster by its shape; ``{k: ClusterModel}`` for
+    the sorted, de-duplicated K.
 
+    Each K's model is the one a call with ``(k,)`` gives: k-means runs per
+    K, k-medoids and Ward share their matrix, BUILD or tree across K.  A
+    k-medoids model echoes ``seed``; Ward has none and stores 0.
     ``standardize`` clusters the scores divided by the square root of each
     basis eigenvalue; the centroids stay in that space.  Labels come from
     raw-score centroids, the mean scores of each cluster's members (an
@@ -383,20 +365,26 @@ def cluster_and_label(method: str, scores, k: int, basis: LatentBasis | None, se
     :func:`label_clusters`.  Without a basis, no labels.
     """
     scores = np.asarray(scores, dtype=float)
-    model = cluster(method, _standardized(scores, basis, standardize), k, seed, restarts)
-    return _labelled(model, scores, basis, standardize, evergreen_tol)
-
-
-def _labelled(model: ClusterModel, scores: np.ndarray, basis: LatentBasis | None,
-              standardize: bool, evergreen_tol: float) -> ClusterModel:
-    """``model`` with the shape labels of its raw-score centroids (see
-    :func:`cluster_and_label`); unchanged without a basis."""
+    points = _standardized(scores, basis, standardize)
+    ks = sorted({int(k) for k in ks})
+    if method == "kmeans":
+        models = {k: kmeans(points, k, seed=seed, restarts=restarts) for k in ks}
+    elif method == "kmedoids":
+        models = {k: replace(m, seed=seed) for k, m in kmedoids(points, ks).items()}
+    elif method == "ward":
+        models = ward(points, ks)
+    else:
+        raise ConfigError(f"unknown clustering methods: {[method]}")
     if basis is None:
-        return model
-    raw = model.centroids * (np.sqrt(basis.eigenvalues) if standardize else 1.0)
-    for j in np.unique(model.assignments):
-        raw[j] = scores[model.assignments == j].mean(axis=0)
-    return model.with_labels(label_clusters(model, basis, evergreen_tol, centroids=raw))
+        return models
+    scale = np.sqrt(basis.eigenvalues) if standardize else 1.0
+    for k, model in models.items():
+        raw = model.centroids * scale
+        for j in np.unique(model.assignments):
+            raw[j] = scores[model.assignments == j].mean(axis=0)
+        labels = label_clusters(model, basis, evergreen_tol, centroids=raw)
+        models[k] = replace(model, labels=labels)
+    return models
 
 
 def _evergreen(curves: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -516,17 +504,6 @@ def silhouette_mean(points, assignments) -> float:
     return float(scores.mean())
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Robustness sweep over (method, K) cells plus cross-method agreement."""
-
-    report: dict
-    models: dict
-
-    def cell(self, method: str, k: int) -> ClusterModel:
-        return self.models[(method, k)]
-
-
 def robustness_sweep(
     scores,
     k_values: Iterable[int],
@@ -536,17 +513,17 @@ def robustness_sweep(
     basis: LatentBasis | None = None,
     evergreen_tol: float = EVERGREEN_TOL,
     standardize: bool = False,
-) -> SweepReport:
+) -> tuple[dict, dict[tuple[str, int], ClusterModel]]:
     """Run every (K, method) cell and summarize agreement between methods.
 
-    Each cell is the model ``cluster_and_label`` gives for that method and K
-    (``evergreen_tol`` as there) and reports within_ss, mean silhouette,
-    cluster sizes, and (when a basis is supplied) shape labels; for each K
-    the pairwise adjusted Rand index between methods quantifies robustness
-    of the partition.  Work shared between the K of one method is done once:
+    Returns the report and the models keyed by (method, K).  Each method is
+    one :func:`cluster_and_label` call over every K (arguments as there), so
     Ward builds one tree and cuts it at every K, and k-medoids builds one
     distance matrix and one BUILD to the largest K and frees the matrix
-    before the next method runs.
+    before the next method runs.  Each cell reports within_ss, mean
+    silhouette, cluster sizes, and (when a basis is supplied) shape labels;
+    for each K the pairwise adjusted Rand index between methods quantifies
+    robustness of the partition.
     """
     scores = np.asarray(scores, dtype=float)
     points = _standardized(scores, basis, standardize)
@@ -557,8 +534,9 @@ def robustness_sweep(
     models: dict[tuple[str, int], ClusterModel] = {}
     cells: dict[str, dict[str, dict]] = {m: {} for m in methods}
     for method in methods:
-        for k, model in _cluster_ks(method, points, k_values, seed, restarts).items():
-            model = _labelled(model, scores, basis, standardize, evergreen_tol)
+        fitted = cluster_and_label(method, scores, k_values, basis, seed, restarts,
+                                   standardize, evergreen_tol)
+        for k, model in fitted.items():
             models[(method, k)] = model
             sizes = np.bincount(model.assignments, minlength=k)
             cells[method][str(k)] = {
@@ -585,4 +563,4 @@ def robustness_sweep(
         "cells": cells,
         "ari": ari,
     }
-    return SweepReport(report=report, models=models)
+    return report, models

@@ -57,10 +57,6 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         return np.arange(1, self.n_years + 1, dtype=float)
 
-    @property
-    def delta(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class CountTrajectory:
@@ -139,7 +135,7 @@ def _check_token(token: str, line_no: int, item_id: str) -> None:
     _check_count(value, line_no, item_id)
 
 
-def _corpus_of_records(t: int, records, to_row, check, provenance: str) -> Corpus:
+def _corpus_of_records(t: int, records, to_row, check) -> Corpus:
     """Corpus of ``(line_no, item_id, raw counts)`` records, checked in line
     order as they are read, so the first fault by line is the one reported.
     ``to_row`` maps raw counts to a list of ints, or to None or a ValueError
@@ -161,7 +157,7 @@ def _corpus_of_records(t: int, records, to_row, check, provenance: str) -> Corpu
                 check(value, line_no, item_id)
         ids.append(item_id)
         rows.append(row)
-    return Corpus(grid, ids, np.asarray(rows, np.int64).reshape(len(rows), t), provenance)
+    return Corpus(grid, ids, np.asarray(rows, np.int64).reshape(len(rows), t))
 
 
 def _as_text(source) -> str:
@@ -186,7 +182,7 @@ def _as_text(source) -> str:
         raise DataError(f"corpus is not valid UTF-8: {exc}") from exc
 
 
-def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
+def parse_corpus(source, format: str = "csv") -> Corpus:
     """Parse a corpus from CSV (header ``id,y1,...,yT``) or JSONL.
 
     JSONL carries one ``{"id": str, "counts": [int, ...]}`` object per line.
@@ -196,11 +192,11 @@ def parse_corpus(source, format: str = "csv", provenance: str = "") -> Corpus:
     """
     text = _as_text(source)
     if format == "csv":
-        return _parse_csv(text, provenance)
+        return _parse_csv(text)
     if format == "jsonl":
         # Records end at "\n" only: JSON strings may hold U+2028 or U+0085
         # raw, and a trailing "\r" is JSON whitespace.
-        return _parse_jsonl(text.split("\n"), provenance)
+        return _parse_jsonl(text.split("\n"))
     raise DataError(f"unknown corpus format {format!r} (expected 'csv' or 'jsonl')")
 
 
@@ -217,7 +213,7 @@ def _csv_records(text: str):
         raise DataError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
 
 
-def _parse_csv(text: str, provenance: str) -> Corpus:
+def _parse_csv(text: str) -> Corpus:
     rows = _csv_records(text)
     first = next(rows, None)
     if first is None:
@@ -230,7 +226,7 @@ def _parse_csv(text: str, provenance: str) -> Corpus:
         )
     records = ((line_no, fields[0], fields[1:]) for line_no, fields in rows)
     return _corpus_of_records(
-        len(cols) - 1, records, lambda raw: list(map(int, raw)), _check_token, provenance
+        len(cols) - 1, records, lambda raw: list(map(int, raw)), _check_token
     )
 
 
@@ -248,7 +244,7 @@ def _jsonl_records(lines: list[str]):
         yield i, str(obj["id"]), obj["counts"]
 
 
-def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
+def _parse_jsonl(lines: list[str]) -> Corpus:
     records = _jsonl_records(lines)
     first = next(records, None)
     if first is None:
@@ -258,7 +254,7 @@ def _parse_jsonl(lines: list[str], provenance: str) -> Corpus:
         raise DataError(f"line {first[0]}: grid needs at least 2 years, got {t}")
     return _corpus_of_records(
         t, itertools.chain([first], records),
-        lambda raw: raw if set(map(type, raw)) == {int} else None, _check_count, provenance,
+        lambda raw: raw if set(map(type, raw)) == {int} else None, _check_count,
     )
 
 

@@ -42,8 +42,8 @@ class LatentBasis:
     """Smoothed mean curve plus K orthonormal eigenfunctions on the grid.
 
     Eigenfunctions are rows of shape (K, T), normalized so that
-    sum_j phi_k(t_j)^2 * delta = 1, with eigenvalues sorted descending and
-    clamped at zero.  ``fve`` is the cumulative fraction of variance
+    sum_j phi_k(t_j)^2 = 1 on the unit-spaced grid, with eigenvalues sorted
+    descending and clamped at zero.  ``fve`` is the cumulative fraction of variance
     explained relative to the full positive spectrum the basis was cut from.
     """
 
@@ -72,8 +72,7 @@ class LatentBasis:
             raise DataError("eigenvalues must be sorted descending")
         if np.any(np.diff(fve) < -1e-12):
             raise DataError("fve must be nondecreasing")
-        delta = self.grid.delta
-        gram = phi @ phi.T * delta
+        gram = phi @ phi.T
         if phi.shape[0] and np.max(np.abs(gram - np.eye(phi.shape[0]))) > _ORTHO_TOL:
             raise NumericalError("eigenfunctions are not orthonormal on the grid")
         for name, arr in (("mean", mean), ("mean_derivative", deriv),
@@ -140,13 +139,12 @@ def covariance_matrix(corpus: Corpus, mean) -> np.ndarray:
     return 0.5 * (raw + raw.T)
 
 
-def eigendecompose_symmetric(cov: np.ndarray, delta: float = 1.0):
-    """Eigenpairs of the quadrature-weighted covariance operator.
+def eigendecompose_symmetric(cov: np.ndarray):
+    """Eigenpairs of the covariance operator on the unit-spaced year grid.
 
-    Solves (C * delta) v = lambda v with a symmetric solver, rescales the
-    eigenvectors by 1/sqrt(delta) so sum_j phi^2 * delta = 1, and fixes the
-    sign so each eigenfunction has nonnegative grid sum (first nonzero
-    coordinate positive on an exact tie).  Returns the full spectrum sorted
+    Solves C v = lambda v with a symmetric solver, so sum_j phi^2 = 1, and
+    fixes the sign so each eigenfunction has nonnegative grid sum (first
+    nonzero coordinate positive on an exact tie).  Returns the full spectrum sorted
     descending: (eigenvalues (T,), eigenfunctions (T, T) as rows).
     """
     cov = np.asarray(cov, dtype=float)
@@ -155,15 +153,13 @@ def eigendecompose_symmetric(cov: np.ndarray, delta: float = 1.0):
     asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
     if asym > 1e-10:
         raise NumericalError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if delta <= 0:
-        raise ConfigError(f"quadrature weight delta must be positive, got {delta}")
     try:
-        w, v = np.linalg.eigh(cov * delta)
+        w, v = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     # eigh returns ascending order; reverse for descending eigenvalues.
     eigenvalues = w[::-1].copy()
-    phi = (v[:, ::-1].T / np.sqrt(delta)).copy()
+    phi = v[:, ::-1].T.copy()
     for k in range(phi.shape[0]):
         s = phi[k].sum()
         if s < 0:

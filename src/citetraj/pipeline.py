@@ -282,17 +282,15 @@ def cluster_stage(scores: np.ndarray, basis: fpca.LatentBasis,
                   config: PipelineConfig) -> tuple[dict | None, str | None]:
     """The model's cluster entry for (``config.method``, ``config.k_clusters``),
     or None and the reason clustering is refused."""
+    k = config.k_clusters
     if basis.k < 1:
         return None, "clustering refused: zero-dimensional scores (k-basis is 0)"
-    if len(scores) < config.k_clusters:
-        return None, (
-            f"clustering refused: {len(scores)} items cannot form "
-            f"{config.k_clusters} clusters"
-        )
+    if len(scores) < k:
+        return None, f"clustering refused: {len(scores)} items cannot form {k} clusters"
     model = clus.cluster_and_label(
-        config.method, scores, config.k_clusters, basis, config.seed,
+        config.method, scores, (k,), basis, config.seed,
         config.restarts, config.standardize, config.evergreen_tol,
-    )
+    )[k]
     return {
         "centroids": _float_rows(model.centroids),
         "assignments": [int(a) for a in model.assignments],
@@ -330,7 +328,7 @@ def run_pipeline(config: PipelineConfig, corpus: Corpus | None = None) -> ModelF
         mean = fpca.estimate_mean(corpus, config.bandwidth)
     with _stage("eigenbasis"):
         cov = fpca.covariance_matrix(corpus, mean.values)
-        spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
+        spectrum, functions = fpca.eigendecompose_symmetric(cov)
         n_positive = int(np.count_nonzero(np.maximum(spectrum, 0.0) > 0))
         k = config.k_basis if config.fve is None else fpca.fve_basis_size(spectrum, config.fve)
         basis = fpca.truncate_basis(mean, spectrum, functions, k)
@@ -427,14 +425,14 @@ def sensitivity(
 ) -> ModelFile:
     """Robustness sweeps on an already-fit model; returns an updated copy.
 
-    The (method, K) grid reclusters the fitted scores per cell (see
-    :func:`clustering.robustness_sweep`: one Ward tree and one k-medoids
-    matrix for all K).  The citation-floor sweep reclusters the items whose
-    totals reach each threshold and reports the adjusted Rand index against
-    the first threshold's run on the common items, plus persistence of
-    evergreen cluster membership.  A threshold that keeps every item reuses
-    the grid's (``config.method``, ``config.k_clusters``) cell when there is
-    one, since that cell is the same clustering of the same scores.  The
+    The (method, K) grid is :func:`clustering.robustness_sweep`: one
+    :func:`clustering.cluster_and_label` call per method over every K.  The
+    citation-floor sweep reclusters the items whose totals reach each
+    threshold with that call at (``config.method``, ``config.k_clusters``)
+    and reports the adjusted Rand index against the first threshold's run
+    on the common items, plus persistence of evergreen cluster membership.
+    A threshold that keeps every item reuses the grid's cell for that method
+    and K when there is one: it is the same call on the same scores.  The
     sweeps use ``config`` (default: the model's stored config) and leave the
     stored config as it is.
     """
@@ -443,7 +441,7 @@ def sensitivity(
     if basis.k < 1:
         raise ConfigError("sensitivity needs a model with a nonempty basis")
     scores = model.scores()
-    sweep = clus.robustness_sweep(
+    report, grid = clus.robustness_sweep(
         scores, k_values, list(methods), seed=cfg.seed, restarts=cfg.restarts,
         basis=basis, evergreen_tol=cfg.evergreen_tol, standardize=cfg.standardize,
     )
@@ -453,13 +451,13 @@ def sensitivity(
     runs = {}
     for tau in thresholds:
         mask = totals >= tau
-        if mask.all() and (cfg.method, k) in sweep.models:
-            run = sweep.cell(cfg.method, k)
+        if mask.all() and (cfg.method, k) in grid:
+            run = grid[(cfg.method, k)]
         elif mask.sum() >= k:
             run = clus.cluster_and_label(
-                cfg.method, scores[mask], k, basis, cfg.seed, cfg.restarts,
+                cfg.method, scores[mask], (k,), basis, cfg.seed, cfg.restarts,
                 cfg.standardize, cfg.evergreen_tol,
-            )
+            )[k]
         else:
             run = None
         runs[int(tau)] = mask, run
@@ -483,6 +481,6 @@ def sensitivity(
         threshold_report["runs"][str(tau)] = entry
 
     data = dict(model.data)
-    data["robustness"] = sweep.report
+    data["robustness"] = report
     data["thresholds"] = threshold_report
     return ModelFile(data)

@@ -159,12 +159,12 @@ def _newton_batch(y, basis: LatentBasis, ridge: float, s0):
     was computed in.  The current iterate's eta, exp(eta) and objective are
     those of the trial step that was accepted, not computed again.
     Accepted steps never lower the objective, yet an iterate can still sit
-    beyond the overflow guard: the starting point; a step that lands eta in
-    (ETA_OVERFLOW, 709], where exp and the objective are still finite; or a
-    full step taken from an objective that is already -inf (y * eta
-    overflowed), which the ulp-scaled tolerance accepts whatever its value.
-    Such items are flagged for the ridge fallback at their next iteration
-    instead of raising.
+    beyond the overflow guard: the starting point, or a step that lands eta
+    in (ETA_OVERFLOW, 709], where exp and the objective are still finite.
+    Such items, and items whose starting objective is not finite (y * eta
+    overflowed), are flagged for the ridge fallback before their next step
+    instead of raising; so no step is taken from a -inf objective, which
+    the ulp-scaled tolerance below would accept whatever its value.
     Returns (scores, iterations, converged, needs_fallback).
     """
     phi = basis.eigenfunctions
@@ -200,7 +200,7 @@ def _newton_batch(y, basis: LatentBasis, ridge: float, s0):
     for _ in range(_MAX_ITER):
         if idx.size == 0:
             break
-        over = eta.max(axis=1) > ETA_OVERFLOW
+        over = (eta.max(axis=1) > ETA_OVERFLOW) | ~np.isfinite(ll)
         if over.any():
             fallback[idx[over]] = True
             keep = ~over
@@ -312,9 +312,7 @@ def fit_matrix(y, basis: LatentBasis) -> FitArrays:
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         yc = y[rows]
-        s0 = np.einsum(
-            "it,kt->ik", np.log1p(yc) - basis.mean, basis.eigenfunctions
-        ) * basis.grid.delta
+        s0 = np.einsum("it,kt->ik", np.log1p(yc) - basis.mean, basis.eigenfunctions)
         s, it, conv, fallback = _newton_batch(yc, basis, 0.0, s0)
         if fallback.any():
             # Ridge fallback restarts the flagged items from zero scores,

@@ -131,8 +131,7 @@ def _legend(names: Sequence[str]) -> list[str]:
     return parts
 
 
-def line_chart(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
-               legend: bool = True) -> None:
+def line_chart(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write a line chart; ``series`` is a list of (name, xs, ys)."""
     xs_all = [float(x) for _, xs, _ in series for x in xs]
     ys_all = [float(y) for _, _, ys in series for y in ys if math.isfinite(float(y))]
@@ -148,7 +147,7 @@ def line_chart(series, path, title: str = "", xlabel: str = "", ylabel: str = ""
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
             f'points="{pts}"/>'
         )
-    if legend and len(series) > 1:
+    if len(series) > 1:
         parts += _legend([name for name, _, _ in series])
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

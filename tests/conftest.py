@@ -10,7 +10,7 @@ def planted():
     corpus, truth = synthgen.simulate_corpus(synthgen.default_spec(400, seed=11))
     mean = fpca.estimate_mean(corpus)
     cov = fpca.covariance_matrix(corpus, mean.values)
-    spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
+    spectrum, functions = fpca.eigendecompose_symmetric(cov)
     basis = fpca.truncate_basis(mean, spectrum, functions, 4)
     fits = poisson.fit_corpus(corpus, basis)
     return {

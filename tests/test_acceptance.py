@@ -36,7 +36,7 @@ def planted2000():
     corpus, truth = synthgen.simulate_corpus(synthgen.default_spec(2000, seed=0))
     mean = fpca.estimate_mean(corpus)
     cov = fpca.covariance_matrix(corpus, mean.values)
-    spectrum, functions = fpca.eigendecompose_symmetric(cov, corpus.grid.delta)
+    spectrum, functions = fpca.eigendecompose_symmetric(cov)
     basis = fpca.truncate_basis(mean, spectrum, functions, 4)
     fits = poisson.fit_corpus(corpus, basis)
     return {
@@ -270,15 +270,15 @@ def test_criterion_7_wsb_baseline(planted2000):
 def test_criterion_8_robustness_sweeps(planted2000, tmp_path):
     start = time.perf_counter()
     scores = planted2000["scores"]
-    sweep = clus.robustness_sweep(
+    sweep_report, _ = clus.robustness_sweep(
         scores, range(2, 7), ["kmeans", "kmedoids", "ward"], seed=0,
         basis=planted2000["basis"],
     )
-    cells = sweep.report["cells"]
+    cells = sweep_report["cells"]
     grid_complete = all(
         str(k) in cells[m] for m in ("kmeans", "kmedoids", "ward") for k in range(2, 7)
     )
-    min_ari4 = min(sweep.report["ari"]["4"].values())
+    min_ari4 = min(sweep_report["ari"]["4"].values())
 
     corpus = planted2000["corpus"]
     path = tmp_path / "corpus.jsonl"

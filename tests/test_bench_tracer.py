@@ -57,4 +57,6 @@ def test_sensitivity_reaches_the_clustering_spans():
         "clustering.kmedoids",
         "clustering.ward",
         "clustering.silhouette_mean",
+        "clustering.label_clusters",
+        "clustering.adjusted_rand_index",
     } <= fired

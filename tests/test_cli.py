@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citetraj
 from citetraj.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -32,6 +36,21 @@ def small_corpus(workspace, tmp_path_factory):
     path = tmp_path_factory.mktemp("small") / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# scipy subpackages the command line does not need; each one would add to
+# the start-up time of every command.
+UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.integrate",
+                "scipy.signal", "scipy.ndimage")
+
+
+def test_cli_import_leaves_unused_scipy_unloaded():
+    src = str(Path(citetraj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = f"import sys, citetraj.cli; print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_end_to_end(workspace):

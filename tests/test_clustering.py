@@ -12,7 +12,7 @@ from citetraj.clustering import (
     adjusted_rand_index,
     classify_item,
     classify_items,
-    cluster,
+    cluster_and_label,
     kmeans,
     kmedoids,
     label_clusters,
@@ -729,41 +729,46 @@ class TestMetrics:
 class TestSweep:
     def test_single_cell_matches_direct_call(self, planted):
         points = planted["scores"]
-        sweep = robustness_sweep(points, [2], ["kmeans"], seed=5, restarts=4)
+        report, models = robustness_sweep(points, [2], ["kmeans"], seed=5, restarts=4)
         direct = kmeans(points, 2, seed=5, restarts=4)
-        model = sweep.cell("kmeans", 2)
+        model = models[("kmeans", 2)]
         assert np.array_equal(model.assignments, direct.assignments)
-        assert sweep.report["cells"]["kmeans"]["2"]["within_ss"] == pytest.approx(
+        assert report["cells"]["kmeans"]["2"]["within_ss"] == pytest.approx(
             direct.within_ss
         )
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_cells_match_cluster_and_label(self, planted, standardize):
+        # Each K of one call over many K is bitwise that K's call alone, and
+        # the sweep's cell is that model.
         scores, basis = planted["scores"], planted["basis"]
-        ks = (2, 4, 5)
-        sweep = robustness_sweep(scores, ks, list(clustering.METHODS), seed=3, restarts=2,
-                                 basis=basis, evergreen_tol=0.1, standardize=standardize)
+        ks = (5, 2, 4, 2)
+        args = (basis, 3, 2, standardize, 0.1)
+        _, grid = robustness_sweep(scores, ks, list(clustering.METHODS), seed=3, restarts=2,
+                                   basis=basis, evergreen_tol=0.1, standardize=standardize)
         for method in clustering.METHODS:
-            for k in ks:
-                fresh = clustering.cluster_and_label(method, scores, k, basis, 3, 2,
-                                                     standardize, 0.1)
-                assert_same_model(sweep.cell(method, k), fresh)
+            models = cluster_and_label(method, scores, ks, *args)
+            assert list(models) == [2, 4, 5]
+            for k, model in models.items():
+                assert len(model.labels) == k
+                assert_same_model(model, cluster_and_label(method, scores, (k,), *args)[k])
+                assert_same_model(grid[(method, k)], model)
 
     def test_within_ss_nonincreasing_in_k(self, planted):
         points = planted["scores"]
-        sweep = robustness_sweep(points, [2, 3, 4, 5], ["kmeans"], seed=0)
-        ss = [sweep.report["cells"]["kmeans"][str(k)]["within_ss"] for k in (2, 3, 4, 5)]
+        report, _ = robustness_sweep(points, [2, 3, 4, 5], ["kmeans"], seed=0)
+        ss = [report["cells"]["kmeans"][str(k)]["within_ss"] for k in (2, 3, 4, 5)]
         assert all(b <= a + 1e-9 for a, b in zip(ss, ss[1:]))
 
     def test_planted_archetypes_recovered_by_all_methods(self, planted):
         points = planted["scores"]
         truth = planted["truth"].archetype_index()
-        sweep = robustness_sweep(points, [4], ["kmeans", "kmedoids", "ward"],
-                                 seed=0, basis=planted["basis"])
+        report, models = robustness_sweep(points, [4], ["kmeans", "kmedoids", "ward"],
+                                          seed=0, basis=planted["basis"])
         for method in ("kmeans", "kmedoids", "ward"):
-            model = sweep.cell(method, 4)
+            model = models[(method, 4)]
             assert adjusted_rand_index(model.assignments, truth) >= 0.8
-        for k, cell in sweep.report["ari"].items():
+        for k, cell in report["ari"].items():
             for pair, value in cell.items():
                 assert value >= 0.8
 
@@ -771,4 +776,4 @@ class TestSweep:
         with pytest.raises(ConfigError, match="unknown"):
             robustness_sweep(planted["scores"], [2], ["dbscan"])
         with pytest.raises(ConfigError, match="unknown"):
-            cluster("dbscan", planted["scores"], 2)
+            cluster_and_label("dbscan", planted["scores"], (2,), planted["basis"])

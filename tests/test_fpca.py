@@ -118,7 +118,7 @@ class TestCovariance:
 
 class TestEigendecompose:
     def test_identity_two_by_two(self):
-        values, functions = eigendecompose_symmetric(np.eye(2), 1.0)
+        values, functions = eigendecompose_symmetric(np.eye(2))
         assert values == pytest.approx([1.0, 1.0], abs=1e-12)
         assert functions @ functions.T == pytest.approx(np.eye(2), abs=1e-12)
 
@@ -139,14 +139,6 @@ class TestEigendecompose:
         assert np.max(np.abs(cov - recon)) < 1e-8
         for lam, phi in zip(values, functions):
             assert np.max(np.abs(cov @ phi - lam * phi)) < 1e-8
-
-    def test_delta_scaling(self):
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        delta = 0.5
-        values, functions = eigendecompose_symmetric(cov, delta)
-        gram = functions @ functions.T * delta
-        assert gram == pytest.approx(np.eye(2), abs=1e-12)
-        assert sum(values) == pytest.approx(np.trace(cov) * delta, abs=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NumericalError, match="not symmetric"):
@@ -205,8 +197,7 @@ class TestTruncate:
         corpus = planted["corpus"]
         mean = planted["mean"]
         cov = covariance_matrix(corpus, mean.values)
-        assert spectrum.sum() == pytest.approx(np.trace(cov) * corpus.grid.delta,
-                                               abs=1e-8)
+        assert spectrum.sum() == pytest.approx(np.trace(cov), abs=1e-8)
 
     def test_latent_basis_validates_orthonormality(self):
         bad = np.array([[1.0, 0.0], [1.0, 0.0]])

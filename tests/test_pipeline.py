@@ -302,14 +302,25 @@ class TestSensitivity:
 
     @pytest.fixture
     def recluster_calls(self, monkeypatch):
-        calls = []
-        real = clustering.cluster_and_label
+        """(method, items, K) of each cluster_and_label call that the floor
+        sweep makes; calls from inside the (method, K) grid are not counted."""
+        calls, in_grid = [], []
+        real_call, real_sweep = clustering.cluster_and_label, clustering.robustness_sweep
 
-        def counted(method, scores, *args):
-            calls.append((method, len(scores)))
-            return real(method, scores, *args)
+        def counted(method, scores, ks, *args):
+            if not in_grid:
+                calls.append((method, len(scores), tuple(ks)))
+            return real_call(method, scores, ks, *args)
+
+        def grid(*args, **kwargs):
+            in_grid.append(True)
+            try:
+                return real_sweep(*args, **kwargs)
+            finally:
+                in_grid.pop()
 
         monkeypatch.setattr(clustering, "cluster_and_label", counted)
+        monkeypatch.setattr(clustering, "robustness_sweep", grid)
         return calls
 
     def test_full_floor_reuses_the_grid_cell(self, model, recluster_calls):
@@ -319,7 +330,7 @@ class TestSensitivity:
         assert recluster_calls == []
         # Without a kmeans cell in the grid, the floors recluster.
         fresh = sensitivity(model, thresholds=(0, 10), k_values=(4,), methods=("ward",))
-        assert recluster_calls == [("kmeans", 300), ("kmeans", 300)]
+        assert recluster_calls == [("kmeans", 300, (4,)), ("kmeans", 300, (4,))]
         assert reused.data["thresholds"] == fresh.data["thresholds"]
 
     def test_floor_that_drops_items_reclusters(self, model, recluster_calls):
@@ -331,15 +342,16 @@ class TestSensitivity:
         assert kept < 300
         swept = sensitivity(model, thresholds=(low, low + 1), k_values=(3, 4),
                             methods=("kmeans",))
-        assert recluster_calls == [("kmeans", kept)]
+        assert recluster_calls == [("kmeans", kept, (4,))]
         runs = swept.data["thresholds"]["runs"]
         assert runs[str(low + 1)]["kept"] == kept
         # The reclustered floor is the cluster_and_label run on the kept items.
         cfg = PipelineConfig(**model.data["config"])
         mask = totals >= low + 1
+        k = cfg.k_clusters
         run = clustering.cluster_and_label(
-            cfg.method, model.scores()[mask], cfg.k_clusters, model.basis(), cfg.seed,
-            cfg.restarts, cfg.standardize, cfg.evergreen_tol)
+            cfg.method, model.scores()[mask], (k,), model.basis(), cfg.seed,
+            cfg.restarts, cfg.standardize, cfg.evergreen_tol)[k]
         assert runs[str(low + 1)]["labels"] == list(run.labels)
 
     def test_requires_nonempty_basis(self, corpus_path):
@@ -373,11 +385,12 @@ class TestConfig:
         assert tuned.data["item_labels"] == labels
         assert labels != clustering.classify_items(intensity)
         cfg = PipelineConfig(**tuned.data["config"])
-        args = (cfg.method, tuned.scores(), cfg.k_clusters, tuned.basis(), cfg.seed,
+        k = cfg.k_clusters
+        args = (cfg.method, tuned.scores(), (k,), tuned.basis(), cfg.seed,
                 cfg.restarts, cfg.standardize)
         entry = tuned.cluster_entry()
-        assert entry["labels"] == list(clustering.cluster_and_label(*args, 0.25).labels)
-        assert entry["labels"] != list(clustering.cluster_and_label(*args).labels)
+        assert entry["labels"] == list(clustering.cluster_and_label(*args, 0.25)[k].labels)
+        assert entry["labels"] != list(clustering.cluster_and_label(*args)[k].labels)
 
     def test_fve_policy_used(self, corpus_path):
         cfg = PipelineConfig(input=corpus_path, seed=8, fve=0.5, baseline=False)
