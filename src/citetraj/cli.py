@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import statistics
 import sys
+from collections import Counter
 from dataclasses import fields as dc_fields
 
 from . import pipeline, plots, synthgen
@@ -314,8 +316,6 @@ def _cmd_label(args, config: PipelineConfig) -> int:
     labels = entry.get("labels")
     print("cluster labels:", labels)
     item_labels = model.data.get("item_labels") or []
-    from collections import Counter
-
     print("item taxonomy:", dict(Counter(item_labels)))
     path = os.path.join(config.output_dir, "assignments.csv")
     ids = model.data["corpus"]["ids"]
@@ -340,11 +340,9 @@ def _cmd_sensitivity(args, config: PipelineConfig) -> int:
     cfg, _ = _stage_config(model, args, _SENSITIVITY_FIELDS, config)
     new_model = pipeline.sensitivity(model, thresholds, k_values, methods, cfg)
     save_model(new_model, _model_path(config))
-    import json as _json
-
     bundle_path = os.path.join(config.output_dir, "sensitivity.json")
     with open(bundle_path, "w", encoding="utf-8") as fh:
-        _json.dump(
+        json.dump(
             {
                 "robustness": new_model.data["robustness"],
                 "thresholds": new_model.data["thresholds"],

@@ -15,12 +15,7 @@ import numpy as np
 
 from .data import Corpus, TimeGrid, log_matrix
 from .errors import ConfigError, DataError, NumericalError
-from .smoothing import (
-    DEFAULT_BANDWIDTH_CANDIDATES,
-    SmoothCurve,
-    gcv_bandwidth,
-    local_poly_smooth,
-)
+from .smoothing import SmoothCurve, smooth_curve
 
 __all__ = [
     "LatentBasis",
@@ -107,20 +102,16 @@ class LatentBasis:
 def estimate_mean(corpus: Corpus, bandwidth: float | None = None) -> SmoothCurve:
     """Smooth the yearly average of ln(``corpus.counts`` + 1).
 
-    The raw yearly average is smoothed by a local quadratic so the curve's
+    The raw yearly average is smoothed by a local quadratic at the grid
+    points (:func:`~citetraj.smoothing.smooth_curve`), so the curve's
     derivative comes from the fitted slope rather than finite differences.
     ``bandwidth`` (years) fixes the smoothing bandwidth; None picks it by
     GCV over ``DEFAULT_BANDWIDTH_CANDIDATES``.
     """
     if len(corpus) == 0:
         raise DataError("cannot estimate a mean curve from an empty corpus")
-    t = corpus.grid.points
     zbar = log_matrix(corpus).mean(axis=0)
-    if bandwidth is not None:
-        h = float(bandwidth)
-    else:
-        h = gcv_bandwidth(t, zbar, degree=2, candidates=DEFAULT_BANDWIDTH_CANDIDATES)
-    values, deriv = local_poly_smooth(t, zbar, degree=2, bandwidth=h, eval_points=t)
+    values, deriv, h = smooth_curve(corpus.grid.points, zbar, bandwidth)
     return SmoothCurve(grid=corpus.grid, values=values, derivative=deriv, bandwidth=h)
 
 

@@ -1,8 +1,10 @@
 """Figure emission: one CSV of plot-ready series plus one SVG per figure.
 
 Every number written here comes from model-file fields (or quantities
-recomputable from them); nothing is re-estimated.  CSVs are canonical,
-SVGs are a built-in convenience rendering.
+recomputable from them); nothing is re-estimated.  Each figure function
+returns its CSV header and rows, its chart series and its chart labels;
+``_render`` writes both files.  CSVs are canonical, SVGs are a built-in
+convenience rendering.
 """
 
 from __future__ import annotations
@@ -15,21 +17,9 @@ import numpy as np
 from .data import counts_matrix
 from .errors import ConfigError, DataError
 from .pipeline import ModelFile
-from .svgplot import line_chart, scatter_chart
+from .svgplot import chart
 
 __all__ = ["FIGURES", "emit_plots"]
-
-FIGURES = (
-    "mean_deriv",
-    "eigenfunctions",
-    "k_selection",
-    "gof_kde",
-    "gof_scatter",
-    "cluster_curves",
-    "robustness",
-    "thresholds",
-    "exemplar_trajectories",
-)
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -47,22 +37,19 @@ def _need(model: ModelFile, key: str, stage: str):
     return value
 
 
-def _fig_mean_deriv(model: ModelFile, out: str) -> list[str]:
+def _fig_mean_deriv(model: ModelFile):
     m = _need(model, "mean", "mean")
     t = model.grid.points
-    csv = os.path.join(out, "mean_deriv.csv")
-    _write_csv(csv, ["t", "mean", "derivative"],
-               zip(t.tolist(), m["values"], m["derivative"]))
-    svg = os.path.join(out, "mean_deriv.svg")
-    line_chart(
+    return (
+        ["t", "mean", "derivative"],
+        zip(t.tolist(), m["values"], m["derivative"]),
         [("mean", t, m["values"]), ("derivative", t, m["derivative"])],
-        svg, title="Smoothed mean of log counts and its derivative",
-        xlabel="years since origin", ylabel="log scale",
+        dict(title="Smoothed mean of log counts and its derivative",
+             xlabel="years since origin", ylabel="log scale"),
     )
-    return [csv, svg]
 
 
-def _fig_eigenfunctions(model: ModelFile, out: str) -> list[str]:
+def _fig_eigenfunctions(model: ModelFile):
     b = _need(model, "basis", "eigenbasis")
     if not b["eigenvalues"]:
         raise DataError("cannot plot eigenfunctions: basis is empty")
@@ -72,68 +59,51 @@ def _fig_eigenfunctions(model: ModelFile, out: str) -> list[str]:
         [float(t[j])] + [b["eigenfunctions"][i][j] for i in range(k)]
         for j in range(model.grid.n_years)
     ]
-    csv = os.path.join(out, "eigenfunctions.csv")
-    _write_csv(csv, ["t"] + [f"phi{i + 1}" for i in range(k)], rows)
-    svg = os.path.join(out, "eigenfunctions.svg")
-    line_chart(
+    return (
+        ["t"] + [f"phi{i + 1}" for i in range(k)],
+        rows,
         [(f"phi{i + 1}", t, b["eigenfunctions"][i]) for i in range(k)],
-        svg, title="Leading eigenfunctions", xlabel="years since origin",
-        ylabel="value",
+        dict(title="Leading eigenfunctions", xlabel="years since origin", ylabel="value"),
     )
-    return [csv, svg]
 
 
-def _fig_k_selection(model: ModelFile, out: str) -> list[str]:
+def _fig_k_selection(model: ModelFile):
     sel = _need(model, "selection", "selection")
-    rows = [(r["k"], r["mean_loglik"], r["aic"], r["n_excluded"]) for r in sel["rows"]]
-    csv = os.path.join(out, "k_selection.csv")
-    _write_csv(csv, ["k", "mean_loglik", "aic", "n_excluded"], rows)
-    svg = os.path.join(out, "k_selection.svg")
     ks = [r["k"] for r in sel["rows"]]
-    line_chart(
+    return (
+        ["k", "mean_loglik", "aic", "n_excluded"],
+        [(r["k"], r["mean_loglik"], r["aic"], r["n_excluded"]) for r in sel["rows"]],
         [("AIC", ks, [r["aic"] for r in sel["rows"]]),
          ("-2 mean loglik", ks, [-2 * r["mean_loglik"] for r in sel["rows"]])],
-        svg, title=f"Basis size selection (recommended K={sel['recommended_k']})",
-        xlabel="number of basis functions K", ylabel="criterion",
+        dict(title=f"Basis size selection (recommended K={sel['recommended_k']})",
+             xlabel="number of basis functions K", ylabel="criterion"),
     )
-    return [csv, svg]
 
 
-def _fig_gof_kde(model: ModelFile, out: str) -> list[str]:
+def _fig_gof_kde(model: ModelFile):
     comp = _need(model, "comparison", "baseline")
-    csv = os.path.join(out, "gof_kde.csv")
-    _write_csv(
-        csv, ["log10_mse", "density_wsb", "density_fpca"],
+    return (
+        ["log10_mse", "density_wsb", "density_fpca"],
         zip(comp["kde_eval"], comp["kde_wsb"], comp["kde_fpca"]),
-    )
-    svg = os.path.join(out, "gof_kde.svg")
-    line_chart(
         [("WSB", comp["kde_eval"], comp["kde_wsb"]),
          ("functional Poisson", comp["kde_eval"], comp["kde_fpca"])],
-        svg, title="Error densities", xlabel="log10 MSE", ylabel="density",
+        dict(title="Error densities", xlabel="log10 MSE", ylabel="density"),
     )
-    return [csv, svg]
 
 
-def _fig_gof_scatter(model: ModelFile, out: str) -> list[str]:
+def _fig_gof_scatter(model: ModelFile):
     comp = _need(model, "comparison", "baseline")
-    ids = model.data["corpus"]["ids"]
-    csv = os.path.join(out, "gof_scatter.csv")
-    _write_csv(
-        csv, ["id", "log10_mse_wsb", "log10_mse_fpca"],
-        zip(ids, comp["log10_mse_wsb"], comp["log10_mse_fpca"]),
-    )
-    svg = os.path.join(out, "gof_scatter.svg")
-    scatter_chart(
+    return (
+        ["id", "log10_mse_wsb", "log10_mse_fpca"],
+        zip(model.data["corpus"]["ids"], comp["log10_mse_wsb"], comp["log10_mse_fpca"]),
         [("items", comp["log10_mse_wsb"], comp["log10_mse_fpca"])],
-        svg, title="Per-item errors: WSB vs functional Poisson",
-        xlabel="log10 MSE (WSB)", ylabel="log10 MSE (functional Poisson)",
-        diagonal=True,
+        dict(title="Per-item errors: WSB vs functional Poisson",
+             xlabel="log10 MSE (WSB)", ylabel="log10 MSE (functional Poisson)",
+             scatter=True),
     )
-    return [csv, svg]
 
 
-def _fig_cluster_curves(model: ModelFile, out: str) -> list[str]:
+def _fig_cluster_curves(model: ModelFile):
     if model.data.get("cluster_refusal"):
         raise DataError(f"cannot plot clusters: {model.data['cluster_refusal']}")
     if not model.data.get("clusters"):
@@ -148,18 +118,16 @@ def _fig_cluster_curves(model: ModelFile, out: str) -> list[str]:
         [float(t[i])] + [float(curve[i]) for curve in curves]
         for i in range(len(t))
     ]
-    csv = os.path.join(out, "cluster_curves.csv")
-    _write_csv(csv, ["t"] + names, rows)
-    svg = os.path.join(out, "cluster_curves.svg")
-    line_chart(
+    return (
+        ["t"] + names,
+        rows,
         [(names[j], t, curves[j]) for j in range(len(curves))],
-        svg, title="Cluster centroid intensity curves",
-        xlabel="years since origin", ylabel="annual intensity",
+        dict(title="Cluster centroid intensity curves",
+             xlabel="years since origin", ylabel="annual intensity"),
     )
-    return [csv, svg]
 
 
-def _fig_robustness(model: ModelFile, out: str) -> list[str]:
+def _fig_robustness(model: ModelFile):
     rob = _need(model, "robustness", "sensitivity")
     rows = []
     for method, per_k in rob["cells"].items():
@@ -170,21 +138,22 @@ def _fig_robustness(model: ModelFile, out: str) -> list[str]:
                  "|".join(cell["labels"]) if cell.get("labels") else "")
             )
     rows.sort(key=lambda r: (r[0], r[1]))
-    csv = os.path.join(out, "robustness.csv")
-    _write_csv(csv, ["method", "k", "within_ss", "silhouette", "labels"], rows)
-    svg = os.path.join(out, "robustness.svg")
     series = []
     for method in rob["methods"]:
         ks = sorted(int(k) for k in rob["cells"][method])
         series.append(
             (method, ks, [rob["cells"][method][str(k)]["within_ss"] for k in ks])
         )
-    line_chart(series, svg, title="Within-cluster dispersion by K and method",
-               xlabel="K", ylabel="within-cluster sum of squares")
-    return [csv, svg]
+    return (
+        ["method", "k", "within_ss", "silhouette", "labels"],
+        rows,
+        series,
+        dict(title="Within-cluster dispersion by K and method",
+             xlabel="K", ylabel="within-cluster sum of squares"),
+    )
 
 
-def _fig_thresholds(model: ModelFile, out: str) -> list[str]:
+def _fig_thresholds(model: ModelFile):
     th = _need(model, "thresholds", "sensitivity")
     rows = []
     for tau, entry in sorted(th["runs"].items(), key=lambda kv: int(kv[0])):
@@ -194,19 +163,18 @@ def _fig_thresholds(model: ModelFile, out: str) -> list[str]:
              entry.get("evergreen_persistence", ""),
              "|".join(entry.get("labels", [])))
         )
-    csv = os.path.join(out, "thresholds.csv")
-    _write_csv(csv, ["threshold", "kept", "ari_vs_base", "evergreen_persistence",
-                     "labels"], rows)
-    svg = os.path.join(out, "thresholds.svg")
     taus = [r[0] for r in rows]
     aris = [r[2] if r[2] != "" else float("nan") for r in rows]
-    line_chart([("ARI vs base", taus, aris)], svg,
-               title="Cluster stability across citation floors",
-               xlabel="minimum total count", ylabel="adjusted Rand index")
-    return [csv, svg]
+    return (
+        ["threshold", "kept", "ari_vs_base", "evergreen_persistence", "labels"],
+        rows,
+        [("ARI vs base", taus, aris)],
+        dict(title="Cluster stability across citation floors",
+             xlabel="minimum total count", ylabel="adjusted Rand index"),
+    )
 
 
-def _fig_exemplars(model: ModelFile, out: str) -> list[str]:
+def _fig_exemplars(model: ModelFile):
     labels = model.data.get("item_labels")
     if labels is None:
         raise DataError("cannot plot exemplars: model is missing the 'label' stage output")
@@ -224,19 +192,17 @@ def _fig_exemplars(model: ModelFile, out: str) -> list[str]:
     names = [f"{taxon} ({corpus['ids'][i]})" for taxon, i in chosen.items()]
     # Only the chosen rows are read from the stored counts.
     counts = counts_matrix([corpus["counts"][i] for i in chosen.values()])
-    rows = [[float(t[j])] + counts[:, j].tolist() for j in range(model.grid.n_years)]
-    csv = os.path.join(out, "exemplar_trajectories.csv")
-    _write_csv(csv, ["t"] + names, rows)
-    svg = os.path.join(out, "exemplar_trajectories.svg")
-    line_chart(
+    return (
+        ["t"] + names,
+        [[float(t[j])] + counts[:, j].tolist() for j in range(model.grid.n_years)],
         [(name, t, row) for name, row in zip(names, counts)],
-        svg, title="Exemplar annual count trajectories",
-        xlabel="years since origin", ylabel="annual count",
+        dict(title="Exemplar annual count trajectories",
+             xlabel="years since origin", ylabel="annual count"),
     )
-    return [csv, svg]
 
 
-_RENDERERS = {
+# Figure name -> function; the order is the order ``emit_plots`` renders in.
+_FIGURES = {
     "mean_deriv": _fig_mean_deriv,
     "eigenfunctions": _fig_eigenfunctions,
     "k_selection": _fig_k_selection,
@@ -247,6 +213,17 @@ _RENDERERS = {
     "thresholds": _fig_thresholds,
     "exemplar_trajectories": _fig_exemplars,
 }
+FIGURES = tuple(_FIGURES)
+
+
+def _render(name: str, model: ModelFile, out: str) -> list[str]:
+    """Write ``<name>.csv`` and ``<name>.svg`` into ``out``; returns both paths."""
+    header, rows, series, labels = _FIGURES[name](model)
+    csv = os.path.join(out, f"{name}.csv")
+    svg = os.path.join(out, f"{name}.svg")
+    _write_csv(csv, header, rows)
+    chart(series, svg, **labels)
+    return [csv, svg]
 
 
 def emit_plots(model: ModelFile, which: Iterable[str] | None = None,
@@ -259,17 +236,17 @@ def emit_plots(model: ModelFile, which: Iterable[str] | None = None,
     os.makedirs(out_dir, exist_ok=True)
     if which is None:
         written = []
-        for fig in FIGURES:
+        for name in FIGURES:
             try:
-                written.extend(_RENDERERS[fig](model, out_dir))
+                written.extend(_render(name, model, out_dir))
             except DataError:
                 continue
         return written
     names = list(which)
-    unknown = [n for n in names if n not in _RENDERERS]
+    unknown = [n for n in names if n not in _FIGURES]
     if unknown:
         raise ConfigError(f"unknown figures {unknown}; available: {list(FIGURES)}")
     written = []
     for name in names:
-        written.extend(_RENDERERS[name](model, out_dir))
+        written.extend(_render(name, model, out_dir))
     return written

@@ -1,9 +1,10 @@
-"""Kernel smoothers: local polynomial regression and Gaussian KDE.
+"""Kernel smoothers: local quadratic regression and Gaussian KDE.
 
-Local polynomial regression with a Gaussian kernel provides the smoothed
-mean curve and, through the fitted slope, its first derivative.  Bandwidth
-is chosen by generalized cross-validation over a candidate grid.  The KDE
-backs the density comparisons of model errors.
+Local quadratic regression with a Gaussian kernel, evaluated at the data
+points, provides the smoothed mean curve and, through the fitted slope, its
+first derivative; the bandwidth is fixed or chosen by generalized
+cross-validation over ``DEFAULT_BANDWIDTH_CANDIDATES``.  The KDE backs the
+density comparisons of model errors.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .errors import ConfigError, NumericalError
 __all__ = [
     "SmoothCurve",
     "DensityEstimate",
-    "local_poly_smooth",
-    "gcv_bandwidth",
+    "smooth_curve",
+    "silverman_bandwidth",
     "gaussian_kde",
     "kde_eval_grid",
     "DEFAULT_BANDWIDTH_CANDIDATES",
@@ -61,110 +62,74 @@ class DensityEstimate:
         return float(np.trapezoid(self.densities, self.eval_points))
 
 
-def _local_fit(x: np.ndarray, y: np.ndarray, x0: float, degree: int, h: float):
-    """Weighted polynomial fit centered at ``x0``.
+def _local_quadratic(x: np.ndarray, h: float) -> np.ndarray:
+    """Coefficient maps of the Gaussian-weighted local quadratic at each x.
 
-    Returns the coefficient vector beta where beta[0] is the fitted value at
-    x0 and beta[1] the fitted slope, plus the equivalent-kernel row giving
-    the fit as a linear combination of the observations.
+    ``maps[i] @ y`` is the (value, slope, half curvature) of the weighted
+    quadratic fit centered at x[i], so row 0 of each map is that point's
+    row of the smoother matrix.
     """
-    u = x - x0
-    w = np.exp(-0.5 * (u / h) ** 2)
-    if np.count_nonzero(w >= _WEIGHT_FLOOR * w.max()) < degree + 1:
-        raise NumericalError(
-            f"singular local fit at eval point {x0}: fewer than {degree + 1} "
-            "effective points"
-        )
-    design = np.vander(u, degree + 1, increasing=True)
-    wd = design * w[:, None]
-    gram = design.T @ wd
-    try:
-        coef_map = np.linalg.solve(gram, wd.T)
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"singular local fit at eval point {x0}") from None
-    beta = coef_map @ y
-    return beta, coef_map[0]
-
-
-def local_poly_smooth(
-    x,
-    y,
-    degree: int,
-    bandwidth: float,
-    eval_points,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local polynomial regression with Gaussian kernel weights.
-
-    At each evaluation point x0 a degree-``degree`` polynomial is fit by
-    weighted least squares with weights exp(-((x_i - x0)/h)^2 / 2); the
-    returned value is the intercept and the derivative the linear
-    coefficient.  Degree 2 is preferred when the derivative matters since
-    local quadratics have lower boundary bias for slopes.
-    """
-    if degree not in (1, 2):
-        raise ConfigError(f"degree must be 1 or 2, got {degree}")
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eval_points = np.asarray(eval_points, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ConfigError("x and y must be 1-d arrays of equal length")
-    if len(x) < degree + 1:
-        raise ConfigError(f"need at least {degree + 1} points for degree {degree}")
-    values = np.empty(len(eval_points))
-    deriv = np.empty(len(eval_points))
-    for i, x0 in enumerate(eval_points):
-        beta, _ = _local_fit(x, y, float(x0), degree, bandwidth)
-        values[i] = beta[0]
-        deriv[i] = beta[1]
-    return values, deriv
-
-
-def _smoother_matrix(x: np.ndarray, y: np.ndarray, degree: int, h: float) -> np.ndarray:
-    """Rows of the linear smoother evaluated at the data points themselves."""
-    rows = np.empty((len(x), len(x)))
+    maps = np.empty((len(x), 3, len(x)))
     for i, x0 in enumerate(x):
-        _, row = _local_fit(x, y, float(x0), degree, h)
-        rows[i] = row
-    return rows
+        u = x - x0
+        w = np.exp(-0.5 * (u / h) ** 2)
+        if np.count_nonzero(w >= _WEIGHT_FLOOR * w.max()) < 3:
+            raise NumericalError(
+                f"singular local fit at eval point {x0}: fewer than 3 effective points"
+            )
+        design = np.vander(u, 3, increasing=True)
+        wd = design * w[:, None]
+        try:
+            maps[i] = np.linalg.solve(design.T @ wd, wd.T)
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"singular local fit at eval point {x0}") from None
+    return maps
 
 
-def gcv_bandwidth(x, y, degree: int, candidates) -> float:
-    """Pick the candidate bandwidth minimizing the GCV score.
+def smooth_curve(
+    x, y, bandwidth: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Local quadratic regression of ``y`` on ``x``, evaluated at each x.
 
-    GCV(h) = n * RSS(h) / (n - tr(S_h))^2 with S_h the smoother matrix on
-    the data points.  Candidates whose local fits are singular (or whose
+    At each x0 a quadratic is fit by weighted least squares with weights
+    exp(-((x_i - x0)/h)^2 / 2); the value is its intercept and the slope its
+    linear coefficient (a local quadratic has lower boundary bias for slopes
+    than a local line).  Returns ``(values, slopes, h)``.
+
+    ``bandwidth`` fixes h; None picks it from ``DEFAULT_BANDWIDTH_CANDIDATES``
+    by GCV(h) = n * RSS(h) / (n - tr(S_h))^2, with S_h the smoother matrix
+    on the data points.  Candidates whose local fits are singular (or whose
     trace reaches n) are skipped; near-ties resolve to the smaller h.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    candidates = sorted(float(h) for h in candidates)
-    if len(candidates) < 1:
-        raise ConfigError("need at least one candidate bandwidth")
-    n = len(x)
-    scores: list[tuple[float, float]] = []
-    for h in candidates:
-        try:
-            s = _smoother_matrix(x, y, degree, h)
-        except NumericalError:
-            continue
-        fitted = s @ y
-        rss = float(np.sum((y - fitted) ** 2))
-        trace = float(np.trace(s))
-        if n - trace <= 0:
-            continue
-        scores.append((h, n * rss / (n - trace) ** 2))
-    if not scores:
-        raise NumericalError("all candidate bandwidths produced singular fits")
-    best = min(g for _, g in scores)
-    # Tie window absorbs float noise so e.g. exactly-linear data (RSS ~ 0 for
-    # every h) resolves to the smallest candidate.
-    tol = max(1e-12, 1e-9 * abs(best))
-    for h, g in scores:  # candidates sorted ascending
-        if g <= best + tol:
-            return h
-    raise AssertionError("unreachable")
+    if bandwidth is not None:
+        if bandwidth <= 0:
+            raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+        h = float(bandwidth)
+        beta = _local_quadratic(x, h) @ y
+    else:
+        n = len(x)
+        fits: list[tuple[float, float, np.ndarray]] = []
+        for h in DEFAULT_BANDWIDTH_CANDIDATES:
+            try:
+                maps = _local_quadratic(x, h)
+            except NumericalError:
+                continue
+            s = maps[:, 0]
+            rss = float(np.sum((y - s @ y) ** 2))
+            trace = float(np.trace(s))
+            if n - trace <= 0:
+                continue
+            fits.append((h, n * rss / (n - trace) ** 2, maps @ y))
+        if not fits:
+            raise NumericalError("all candidate bandwidths produced singular fits")
+        best = min(g for _, g, _ in fits)
+        # Tie window absorbs float noise so e.g. exactly-linear data (RSS ~ 0
+        # for every h) resolves to the smallest candidate.
+        tol = max(1e-12, 1e-9 * abs(best))
+        h, beta = next((h, beta) for h, g, beta in fits if g <= best + tol)
+    return beta[:, 0], beta[:, 1], h
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:

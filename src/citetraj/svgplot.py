@@ -1,9 +1,10 @@
-"""Minimal standalone SVG charts: polylines, scatters, axes, legend.
+"""Minimal standalone SVG charts: one writer for line and scatter charts.
 
 CSV files are the canonical plot output; these SVGs are a dependency-free
 convenience.  Data series are rendered exclusively as <polyline> (lines)
 or <circle> (scatter) elements, axes and ticks as <line>/<text>, so
-emitted files are easy to assert against in tests.
+emitted files are easy to assert against in tests.  Points with a
+non-finite y are left out.
 """
 
 from __future__ import annotations
@@ -11,21 +12,22 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["line_chart", "scatter_chart"]
+__all__ = ["chart"]
 
 PALETTE = ("#d62728", "#1f77b4", "#9467bd", "#2ca02c", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f")
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 20, 36, 48
+_TICKS = 5  # target number of ticks per axis
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -131,55 +133,50 @@ def _legend(names: Sequence[str]) -> list[str]:
     return parts
 
 
-def line_chart(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write a line chart; ``series`` is a list of (name, xs, ys)."""
+def chart(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
+          scatter: bool = False) -> None:
+    """Write a chart of ``series``, a list of (name, xs, ys).
+
+    A line chart draws one polyline per series.  ``scatter`` draws one
+    circle per point instead, on one shared x/y range with the dashed
+    diagonal y = x.  A chart with no finite y gets a unit y range.
+    """
+    points = [
+        [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(float(y))]
+        for _, xs, ys in series
+    ]
     xs_all = [float(x) for _, xs, _ in series for x in xs]
-    ys_all = [float(y) for _, _, ys in series for y in ys if math.isfinite(float(y))]
-    frame = _Frame(min(xs_all), max(xs_all), min(ys_all), max(ys_all))
-    parts = _header(title) + _axes(frame, xlabel, ylabel)
-    for i, (name, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(
-            f"{frame.px(float(x)):.1f},{frame.py(float(y)):.1f}"
-            for x, y in zip(xs, ys)
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
-            f'points="{pts}"/>'
-        )
-    if len(series) > 1:
-        parts += _legend([name for name, _, _ in series])
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def scatter_chart(sets, path, title: str = "", xlabel: str = "", ylabel: str = "",
-                  diagonal: bool = False) -> None:
-    """Write a scatter chart; ``sets`` is a list of (name, xs, ys)."""
-    xs_all = [float(x) for _, xs, _ in sets for x in xs]
-    ys_all = [float(y) for _, _, ys in sets for y in ys]
-    lo = min(xs_all + ys_all)
-    hi = max(xs_all + ys_all)
-    frame = _Frame(min(xs_all), max(xs_all), min(ys_all), max(ys_all))
-    if diagonal:
+    ys_all = [y for pts in points for _, y in pts]
+    if scatter:
+        lo = min(xs_all + ys_all)
+        hi = max(xs_all + ys_all)
         frame = _Frame(lo, hi, lo, hi)
+    else:
+        ylo, yhi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
+        frame = _Frame(min(xs_all), max(xs_all), ylo, yhi)
     parts = _header(title) + _axes(frame, xlabel, ylabel)
-    if diagonal:
+    if scatter:
         parts.append(
             f'<line x1="{frame.px(lo):.1f}" y1="{frame.py(lo):.1f}" '
             f'x2="{frame.px(hi):.1f}" y2="{frame.py(hi):.1f}" '
             f'stroke="#999999" stroke-dasharray="4 3"/>'
         )
-    for i, (name, xs, ys) in enumerate(sets):
+    for i, pts in enumerate(points):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle cx="{frame.px(float(x)):.1f}" cy="{frame.py(float(y)):.1f}" '
+        if scatter:
+            parts += [
+                f'<circle cx="{frame.px(x):.1f}" cy="{frame.py(y):.1f}" '
                 f'r="2.2" fill="{color}" fill-opacity="0.6"/>'
+                for x, y in pts
+            ]
+        else:
+            coords = " ".join(f"{frame.px(x):.1f},{frame.py(y):.1f}" for x, y in pts)
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
+                f'points="{coords}"/>'
             )
-    if len(sets) > 1:
-        parts += _legend([name for name, _, _ in sets])
+    if len(series) > 1:
+        parts += _legend([name for name, _, _ in series])
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -25,7 +25,7 @@ from scipy.special import erf
 
 from .data import CountTrajectory, TimeGrid
 from .errors import ConfigError, DataError, NumericalError
-from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid
+from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid, silverman_bandwidth
 
 __all__ = [
     "WsbParams",
@@ -399,8 +399,6 @@ def compare_models(
     lf = np.log10(np.maximum(fpca_mse, MSE_FLOOR))
     pooled = np.concatenate([lw, lf])
     try:
-        from .smoothing import silverman_bandwidth
-
         h = max(silverman_bandwidth(lw), silverman_bandwidth(lf))
     except NumericalError:
         h = 0.25  # degenerate spread; fixed fallback keeps the densities defined

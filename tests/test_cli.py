@@ -89,6 +89,20 @@ def test_sensitivity_and_plots(workspace):
     assert (workspace / "plots" / "robustness.svg").exists()
 
 
+def test_plot_without_any_floor_ari(small_corpus, tmp_path):
+    # A floor no item reaches leaves every run, the base included, without
+    # an ARI, so the thresholds chart has no finite y to draw.
+    out = ["--output-dir", str(tmp_path)]
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus)] + out) == EXIT_OK
+    assert main(["sensitivity", "--thresholds", "10000000"] + out) == EXIT_OK
+    assert main(["plot"] + out) == EXIT_OK
+    plots = tmp_path / "plots"
+    assert (plots / "thresholds.csv").exists()
+    svg = (plots / "thresholds.svg").read_text()
+    assert "nan" not in svg.lower()
+    assert svg.count("<polyline") == 1
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     rc = main(["ingest", "--input", str(tmp_path / "ghost.csv"),
                "--output-dir", str(tmp_path)])

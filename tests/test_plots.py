@@ -41,6 +41,29 @@ def test_cluster_curves_svg_polyline_count(model, tmp_path):
     assert svg.count("<polyline") == k
 
 
+def test_gof_scatter_svg_has_one_circle_per_item(model, tmp_path):
+    emit_plots(model, ["gof_scatter"], str(tmp_path))
+    svg = (tmp_path / "gof_scatter.svg").read_text()
+    assert svg.count("<circle") == len(model.data["corpus"]["ids"])
+    assert svg.count('stroke-dasharray="4 3"') == 1
+    assert "<polyline" not in svg
+
+
+def test_line_figures_draw_one_polyline_per_series(model, tmp_path):
+    swept = sensitivity(model, thresholds=(0, 10), k_values=(2, 3, 4),
+                        methods=("kmeans", "ward"))
+    emit_plots(swept, None, str(tmp_path))
+    # One series per CSV column after the first, except in these figures.
+    n_series = {"k_selection": 2, "robustness": 2, "thresholds": 1}
+    for fig in FIGURES:
+        if fig == "gof_scatter":
+            continue
+        svg = (tmp_path / f"{fig}.svg").read_text()
+        header = (tmp_path / f"{fig}.csv").read_text().splitlines()[0].split(",")
+        assert "<circle" not in svg, fig
+        assert svg.count("<polyline") == n_series.get(fig, len(header) - 1), fig
+
+
 def test_missing_stage_error_names_stage(model, tmp_path):
     with pytest.raises(DataError, match="sensitivity"):
         emit_plots(model, ["robustness"], str(tmp_path))
