@@ -13,6 +13,6 @@ from .errors import CitetrajError, ConfigError, DataError, NumericalError
 from .fpca import LatentBasis
 from .pipeline import ModelFile, PipelineConfig, load_model, run_pipeline, save_model
 from .poisson import TrajectoryFit, fit_corpus
-from .wsb import WsbFit, WsbParams, fit_wsb
+from .wsb import WsbFit, fit_wsb
 
 __version__ = "0.1.0"

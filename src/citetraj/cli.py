@@ -125,7 +125,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None,
                    help="threads over WSB row chunks (default 1)")
     p.add_argument("--restarts", type=int, default=None, help="k-means restarts (default 10)")
-    p.add_argument("--no-baseline", action="store_true", default=False,
+    p.add_argument("--no-baseline", dest="baseline", action="store_false", default=None,
                    help="skip the WSB baseline stage")
     p.add_argument("--bandwidth", type=float, default=None,
                    help="fixed mean-curve bandwidth (default: GCV)")
@@ -168,24 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given_options(args: argparse.Namespace) -> dict:
-    """Config fields the user set: typed flags over config-file keys."""
+def _resolve_options(args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
+    """The run's config and the config fields the user set: typed flags over
+    config-file keys over defaults.  A flag left untyped is None and keeps
+    the file's value."""
     file_opts = read_config_file(args.config) if args.config else {}
-    given = {k: v for k, v in file_opts.items() if v is not None and k != "baseline"}
-    for f in dc_fields(PipelineConfig):
-        cli_val = getattr(args, f.name, None)
-        if f.name != "baseline" and cli_val is not None:
-            given[f.name] = cli_val
-    if args.no_baseline:
-        given["baseline"] = False
-    elif "baseline" in file_opts:
+    given = {k: v for k, v in file_opts.items() if v is not None}
+    if "baseline" in file_opts:
         given["baseline"] = bool(file_opts["baseline"])
-    return given
-
-
-def _merge_config(args: argparse.Namespace) -> PipelineConfig:
+    given.update((name, value) for name in _CONFIG_FIELDS
+                 if (value := getattr(args, name, None)) is not None)
     try:
-        return PipelineConfig(**{"output_dir": "out", **_given_options(args)})
+        return PipelineConfig(**{"output_dir": "out", **given}), given
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -200,14 +194,13 @@ _CLUSTER_FIELDS = ("method", "k_clusters", "seed", "restarts", "standardize")
 _SENSITIVITY_FIELDS = _CLUSTER_FIELDS + ("evergreen_tol",)
 
 
-def _stage_config(model: ModelFile, args, fields: tuple[str, ...],
+def _stage_config(model: ModelFile, given: dict, fields: tuple[str, ...],
                   config: PipelineConfig) -> tuple[PipelineConfig, dict]:
     """The model's stored config with ``fields`` replaced where the user
-    typed the flag or the config file sets the key, and the replaced fields
-    whose value differs from the stored one.  ``jobs`` is never stored and
-    comes from ``config``.  The model is not changed."""
+    set them (``given``), and the replaced fields whose value differs from
+    the stored one.  ``jobs`` is never stored and comes from ``config``.
+    The model is not changed."""
     stored = model.data["config"]
-    given = _given_options(args)
     changed = {k: given[k] for k in fields if k in given and given[k] != stored[k]}
     return PipelineConfig(**{**stored, **changed, "jobs": config.jobs}), changed
 
@@ -223,7 +216,7 @@ def _load_for_stage(config: PipelineConfig, stage: str) -> ModelFile:
     return load_model(path)
 
 
-def _cmd_simulate(args, config: PipelineConfig) -> int:
+def _cmd_simulate(args, config: PipelineConfig, given: dict) -> int:
     spec = synthgen.default_spec(n_items=args.n_items, seed=config.seed)
     if args.n_years != spec.n_years:
         raise ConfigError("the default generator is defined on a 30-year grid")
@@ -238,7 +231,7 @@ def _cmd_simulate(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args, config: PipelineConfig) -> int:
+def _cmd_ingest(args, config: PipelineConfig, given: dict) -> int:
     if not config.input:
         raise ConfigError("ingest needs --input")
     corpus = parse_corpus(config.input, pipeline.detect_format(config.input, config.format))
@@ -254,7 +247,7 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args, config: PipelineConfig) -> int:
+def _cmd_fit(args, config: PipelineConfig, given: dict) -> int:
     model = run_pipeline(config)
     os.makedirs(config.output_dir, exist_ok=True)
     save_model(model, _model_path(config))
@@ -270,10 +263,10 @@ def _cmd_fit(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_baseline(args, config: PipelineConfig) -> int:
+def _cmd_baseline(args, config: PipelineConfig, given: dict) -> int:
     model = _load_for_stage(config, "baseline")
     data = model.data
-    cfg, changed = _stage_config(model, args, _BASELINE_FIELDS, config)
+    cfg, changed = _stage_config(model, given, _BASELINE_FIELDS, config)
     if data["config"]["baseline"] and data.get("wsb") and not changed:
         print("model already has the baseline stage; nothing to do")
         return EXIT_OK
@@ -290,10 +283,10 @@ def _cmd_baseline(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_cluster(args, config: PipelineConfig) -> int:
+def _cmd_cluster(args, config: PipelineConfig, given: dict) -> int:
     model = _load_for_stage(config, "cluster")
     data = model.data
-    cfg, changed = _stage_config(model, args, _CLUSTER_FIELDS, config)
+    cfg, changed = _stage_config(model, given, _CLUSTER_FIELDS, config)
     entry, refusal = pipeline.cluster_stage(model.scores(), model.basis(), cfg)
     if refusal:
         raise ConfigError(refusal)
@@ -308,7 +301,7 @@ def _cmd_cluster(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_label(args, config: PipelineConfig) -> int:
+def _cmd_label(args, config: PipelineConfig, given: dict) -> int:
     model = _load_for_stage(config, "label")
     if not model.data.get("clusters"):
         raise DataError("label needs a clustered model; run 'citetraj cluster' first")
@@ -328,7 +321,7 @@ def _cmd_label(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sensitivity(args, config: PipelineConfig) -> int:
+def _cmd_sensitivity(args, config: PipelineConfig, given: dict) -> int:
     model = _load_for_stage(config, "sensitivity")
     thresholds = _int_list(args.thresholds)
     if not thresholds:
@@ -337,7 +330,9 @@ def _cmd_sensitivity(args, config: PipelineConfig) -> int:
     if not k_values:
         raise ConfigError(f"need at least one K value, got {args.k_range!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    cfg, _ = _stage_config(model, args, _SENSITIVITY_FIELDS, config)
+    if not methods:
+        raise ConfigError(f"need at least one clustering method, got {args.methods!r}")
+    cfg, _ = _stage_config(model, given, _SENSITIVITY_FIELDS, config)
     new_model = pipeline.sensitivity(model, thresholds, k_values, methods, cfg)
     save_model(new_model, _model_path(config))
     bundle_path = os.path.join(config.output_dir, "sensitivity.json")
@@ -354,7 +349,7 @@ def _cmd_sensitivity(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args, config: PipelineConfig) -> int:
+def _cmd_plot(args, config: PipelineConfig, given: dict) -> int:
     model = _load_for_stage(config, "plot")
     which = None if args.figures == "all" else [
         f.strip() for f in args.figures.split(",") if f.strip()
@@ -365,7 +360,7 @@ def _cmd_plot(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args, config: PipelineConfig) -> int:
+def _cmd_run(args, config: PipelineConfig, given: dict) -> int:
     model = run_pipeline(config)
     os.makedirs(config.output_dir, exist_ok=True)
     save_model(model, _model_path(config))
@@ -395,29 +390,28 @@ _COMMANDS = {
 }
 
 
+# Exit code and stderr prefix per error type; the first match wins.  A
+# StageError is reported by its cause, under the stage's name.
+_ERRORS = (
+    (ConfigError, EXIT_CONFIG, "configuration error"),
+    (NumericalError, EXIT_NUMERIC, "numerical failure"),
+    (Exception, EXIT_DATA, "data error"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _merge_config(args)
-        return _COMMANDS[args.command](args, config)
-    except StageError as exc:
-        print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
-            return EXIT_CONFIG
-        if isinstance(cause, NumericalError):
-            return EXIT_NUMERIC
-        return EXIT_DATA
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (DataError, CitetrajError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        config, given = _resolve_options(args)
+        return _COMMANDS[args.command](args, config, given)
+    except CitetrajError as exc:
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        code, prefix = next((code, prefix) for kind, code, prefix in _ERRORS
+                            if isinstance(cause, kind))
+        if isinstance(exc, StageError):
+            prefix = f"error in stage '{exc.stage}'"
+        print(f"{prefix}: {cause}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

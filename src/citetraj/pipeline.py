@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from typing import Sequence
@@ -230,17 +231,17 @@ def _float_rows(arr: np.ndarray) -> list:
     return arr.tolist() if np.isfinite(arr).all() else [_floats(row) for row in arr]
 
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise an error of the block as a :class:`StageError` naming the
+    stage.  Interrupts and exits (not ``Exception``) pass through, and so
+    does a ``StageError`` raised by an inner stage."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def detect_format(path: str, override: str | None) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +41,11 @@ ETA_LIMIT = 20.0
 
 @dataclass(frozen=True)
 class MeanSpec:
-    """Mean log-intensity curve: rise-peak-decay, flat, or a custom table.
+    """Mean log-intensity curve: rise-peak-decay (``gamma``) or ``flat``.
 
     The default shape is ln(a * t^b * exp(-t/c) + d): a sharp early rise, a
     mid-grid peak, and slow decay, mimicking typical citation histories.
+    The flat curve is ``level`` everywhere.
     """
 
     kind: str = "gamma"
@@ -54,27 +54,17 @@ class MeanSpec:
     c: float = 8.0
     d: float = 0.5
     level: float = 0.0
-    table: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "flat", "table"):
+        if self.kind not in ("gamma", "flat"):
             raise ConfigError(f"unknown mean curve kind {self.kind!r}")
-        if self.kind == "table" and not self.table:
-            raise ConfigError("table mean curve needs values")
 
 
 def mean_curve(spec: MeanSpec, grid: TimeGrid) -> np.ndarray:
     t = grid.points
     if spec.kind == "gamma":
         return np.log(spec.a * t**spec.b * np.exp(-t / spec.c) + spec.d)
-    if spec.kind == "flat":
-        return np.full(grid.n_years, float(spec.level))
-    values = np.asarray(spec.table, dtype=float)
-    if values.shape != (grid.n_years,):
-        raise ConfigError(
-            f"mean table has {values.size} values, grid has {grid.n_years}"
-        )
-    return values
+    return np.full(grid.n_years, float(spec.level))
 
 
 @dataclass(frozen=True)
@@ -298,15 +288,17 @@ class RecoveryMetrics:
 def recovery_report(
     truth: TruthRecord,
     basis: LatentBasis,
-    fits: Sequence = (),
+    scores=None,
     assignments=None,
 ) -> RecoveryMetrics:
     """Alignment of estimated basis/scores/partition against the truth.
 
     Per component k: RMS(estimated_phi_k - s * true_phi_k) minimized over
-    the sign s, the same sign applied before correlating fitted scores with
-    true scores, and (when assignments are given) the adjusted Rand index
-    against the planted archetypes.
+    the sign s, the same sign applied before correlating the estimated
+    scores with the true scores, and (when assignments are given) the
+    adjusted Rand index against the planted archetypes.  ``scores`` is an
+    (n, K) matrix with one row per item in ``truth.ids`` order, such as
+    ``FitArrays.scores`` or a model's stored scores.
     """
     k = min(basis.k, truth.basis.shape[0])
     rms = []
@@ -321,19 +313,14 @@ def recovery_report(
         rms.append(best)
         signs.append(s)
     corr = []
-    if fits:
-        fitted_ids = [f.id for f in fits]
-        if list(fitted_ids) != list(truth.ids):
-            order = {pid: i for i, pid in enumerate(truth.ids)}
-            missing = [pid for pid in fitted_ids if pid not in order]
-            if missing:
-                raise DataError(f"fits contain unknown ids: {missing[:5]}")
-            truth_rows = np.asarray([order[pid] for pid in fitted_ids])
-        else:
-            truth_rows = np.arange(len(fitted_ids))
-        est_scores = np.asarray([f.scores for f in fits])
+    if scores is not None:
+        est_scores = np.asarray(scores, dtype=float)
+        if est_scores.ndim != 2 or len(est_scores) != len(truth.ids):
+            raise DataError(
+                f"score matrix of shape {est_scores.shape} for {len(truth.ids)} items"
+            )
         for i in range(min(k, est_scores.shape[1])):
-            t_scores = signs[i] * truth.scores[truth_rows, i]
+            t_scores = signs[i] * truth.scores[:, i]
             e = est_scores[:, i]
             denom = e.std() * t_scores.std()
             corr.append(

@@ -10,8 +10,8 @@ return row-aligned columns (:class:`WsbArrays`), as the Poisson fits do.
 They run as one vectorized Levenberg-Marquardt over every row's start
 points, with the analytic Jacobian and steps projected onto the parameter
 box.  :func:`wsb_curve` is the one statement of C(t): the fits' objective
-and MSE and the one-item views (:func:`fit_wsb`, :func:`wsb_cumulative`,
-:func:`wsb_annual`) all evaluate it.
+and MSE and the one-item view :func:`fit_wsb` all evaluate it, and annual
+counts are its first differences with C(0+) = 0.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ from .errors import ConfigError, DataError, NumericalError
 from .smoothing import DensityEstimate, gaussian_kde, kde_eval_grid, silverman_bandwidth
 
 __all__ = [
-    "WsbParams",
     "WsbFit",
     "WsbArrays",
     "MinimizeResult",
     "minimize",
     "normal_cdf",
     "wsb_curve",
-    "wsb_cumulative",
-    "wsb_annual",
     "fit_wsb",
     "fit_wsb_corpus",
     "compare_models",
@@ -75,28 +72,14 @@ _TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
-class WsbParams:
-    """Fitness ``lam``, lognormal location ``mu`` (log-years), scale
-    ``sigma``, and the fixed effective-prior constant ``m``."""
+class WsbFit:
+    """One item's WSB fit: fitness ``lam``, lognormal location ``mu``
+    (log-years) and scale ``sigma``, with the fitted curves."""
 
+    id: str
     lam: float
     mu: float
     sigma: float
-    m: float = 30.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        if self.m <= 0:
-            raise ConfigError(f"m must be positive, got {self.m}")
-
-
-@dataclass(frozen=True)
-class WsbFit:
-    id: str
-    params: WsbParams
     cumulative_fitted: np.ndarray
     annual_fitted: np.ndarray
     mse: float
@@ -109,8 +92,8 @@ class WsbFit:
 
 class WsbArrays(NamedTuple):
     """Row-aligned WSB fits of an (n, T) count matrix (fields as in
-    :class:`WsbFit` and :class:`WsbParams`); ``objective`` is the winning
-    start's least-squares objective on the cumulative curve."""
+    :class:`WsbFit`); ``objective`` is the winning start's least-squares
+    objective on the cumulative curve."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -145,20 +128,6 @@ def wsb_curve(theta, log_t, m: float) -> np.ndarray:
     """
     lam, _, _, cdf = _curve(np.asarray(theta, dtype=float), np.asarray(log_t, dtype=float))
     return m * np.expm1(lam * cdf)
-
-
-def wsb_cumulative(t, p: WsbParams):
-    """:func:`wsb_curve` of one parameter set at times ``t`` > 0, a scalar
-    (returned as a float) or a 1-d array."""
-    if np.any(np.asarray(t) <= 0):
-        raise ConfigError("wsb_cumulative needs t > 0 (year-1 origin grid)")
-    c = wsb_curve([[p.lam, p.mu, p.sigma]], np.log(np.atleast_1d(t).astype(float)), p.m)[0]
-    return float(c[0]) if np.ndim(t) == 0 else c
-
-
-def wsb_annual(p: WsbParams, grid: TimeGrid) -> np.ndarray:
-    """Fitted annual counts: first differences of C with C(0+) = 0."""
-    return np.diff(wsb_cumulative(grid.points, p), prepend=0.0)
 
 
 def _objective(theta: np.ndarray, log_t: np.ndarray, c_obs: np.ndarray, m: float) -> np.ndarray:
@@ -351,13 +320,13 @@ def fit_wsb(traj: CountTrajectory, m: float = 30.0) -> WsbFit:
     if traj.total < 1:
         raise DataError(f"item {traj.id!r} has no events; WSB fit needs total >= 1")
     fit = fit_wsb_corpus([traj.counts], m=m)
-    params = WsbParams(lam=float(fit.lam[0]), mu=float(fit.mu[0]), sigma=float(fit.sigma[0]), m=m)
     log_t = np.log(TimeGrid(len(traj.counts)).points)
     cumulative = wsb_curve(np.column_stack([fit.lam, fit.mu, fit.sigma]), log_t, m)[0]
     return WsbFit(
-        id=traj.id, params=params, cumulative_fitted=cumulative,
-        annual_fitted=np.diff(cumulative, prepend=0.0), mse=float(fit.mse[0]),
-        converged=bool(fit.converged[0]), objective=float(fit.objective[0]),
+        id=traj.id, lam=float(fit.lam[0]), mu=float(fit.mu[0]), sigma=float(fit.sigma[0]),
+        cumulative_fitted=cumulative, annual_fitted=np.diff(cumulative, prepend=0.0),
+        mse=float(fit.mse[0]), converged=bool(fit.converged[0]),
+        objective=float(fit.objective[0]),
     )
 
 

@@ -202,6 +202,38 @@ def test_stage_commands_keep_stored_config_unless_typed(small_corpus, tmp_path):
     assert data["config"]["m_wsb"] == data["wsb"]["m"] == 25.0
 
 
+def test_config_file_keys_reach_sensitivity(small_corpus, tmp_path, monkeypatch):
+    from citetraj import pipeline
+
+    out = ["--output-dir", str(tmp_path)]
+    assert main(["fit", "--no-baseline", "--input", str(small_corpus)] + out) == EXIT_OK
+    seen = []
+    sensitivity = pipeline.sensitivity
+
+    def recording(*args):
+        seen.append(args[-1])
+        return sensitivity(*args)
+
+    monkeypatch.setattr(pipeline, "sensitivity", recording)
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("evergreen-tol = 0.2\nseed = 5\nrestarts = 3\n")
+    assert main(["sensitivity", "--config", str(conf), "--seed", "4", "--k-range", "2:3",
+                 "--thresholds", "0"] + out) == EXIT_OK
+    assert [(c.evergreen_tol, c.seed, c.restarts) for c in seen] == [(0.2, 4, 3)]
+
+
+def test_interrupt_in_a_stage_propagates(small_corpus, tmp_path, monkeypatch):
+    from citetraj import fpca
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fpca, "estimate_mean", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fit", "--no-baseline", "--input", str(small_corpus),
+              "--output-dir", str(tmp_path)])
+
+
 def test_baseline_adds_its_blocks_and_keeps_the_rest(small_corpus, tmp_path):
     common = ["--output-dir", str(tmp_path), "--seed", "2"]
     assert main(["fit", "--no-baseline", "--input", str(small_corpus)] + common) == EXIT_OK
@@ -292,6 +324,8 @@ _FAILURES = {
                     EXIT_CONFIG, "'2:x'"),
     "empty_k_range": ("head4", True, None, ["sensitivity", "--k-range", "6:2"],
                       EXIT_CONFIG, "need at least one K value"),
+    "empty_methods": ("head4", True, None, ["sensitivity", "--methods", " , "], EXIT_CONFIG,
+                      "need at least one clustering method"),
     "zero_bandwidth": ("head4", False, None, ["fit", "--bandwidth", "0"], EXIT_CONFIG,
                        "bandwidth must be > 0"),
     "count_beyond_int64": (_csv(5, [(1,) * 5, (1, 2, 99999999999999999999, 0, 0)]), False,
@@ -345,14 +379,31 @@ class TestConfigFile:
         parser = build_parser()
         args = parser.parse_args(["fit", "--config", str(cfg), "--seed", "9",
                                   "--input", "x.csv"])
-        from citetraj.cli import _merge_config
+        from citetraj.cli import _resolve_options
 
-        merged = _merge_config(args)
+        merged, given = _resolve_options(args)
         assert merged.seed == 9          # flag beats file
         assert merged.k_clusters == 3    # file beats default
         assert merged.standardize is True
         assert merged.m_wsb == 25.5
         assert merged.jobs == 1          # default
+        assert given == {"seed": 9, "k_clusters": 3, "standardize": True, "m_wsb": 25.5,
+                         "input": "x.csv"}
+
+    @pytest.mark.parametrize("file_line, flags, baseline", [
+        ("", [], True),
+        ("baseline = off\n", [], False),
+        ("baseline = yes\n", ["--no-baseline"], False),
+    ], ids=["defaults", "file_off", "flag_beats_file"])
+    def test_untyped_flags_keep_file_values(self, tmp_path, file_line, flags, baseline):
+        from citetraj.cli import _resolve_options
+
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text(file_line)
+        args = build_parser().parse_args(["fit", "--config", str(cfg)] + flags)
+        merged, given = _resolve_options(args)
+        assert merged.baseline is baseline
+        assert ("baseline" in given) == bool(file_line)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "opts.conf"

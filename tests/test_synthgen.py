@@ -3,7 +3,7 @@ import pytest
 
 from citetraj import fpca
 from citetraj.data import Corpus, TimeGrid
-from citetraj.errors import ConfigError
+from citetraj.errors import ConfigError, DataError
 from citetraj.synthgen import (
     Archetype,
     GeneratorSpec,
@@ -161,14 +161,7 @@ class TestRecovery:
             eigenfunctions=truth.basis.copy(),
             fve=np.linspace(0.4, 1.0, truth.basis.shape[0]),
         )
-
-        class FakeFit:
-            def __init__(self, pid, scores):
-                self.id = pid
-                self.scores = scores
-
-        fits = [FakeFit(pid, truth.scores[i]) for i, pid in enumerate(truth.ids)]
-        report = recovery_report(truth, basis, fits,
+        report = recovery_report(truth, basis, truth.scores,
                                  assignments=truth.archetype_index())
         assert max(report.eigenfunction_rms) == pytest.approx(0.0, abs=1e-12)
         assert min(report.score_correlations) == pytest.approx(1.0, abs=1e-12)
@@ -184,6 +177,10 @@ class TestRecovery:
 
     def test_pipeline_recovery_quality(self, planted):
         report = recovery_report(planted["truth"], planted["basis"],
-                                 planted["fits"])
+                                 planted["scores"])
         assert max(report.eigenfunction_rms) < 0.15
         assert min(report.score_correlations) > 0.9
+
+    def test_score_rows_must_match_truth(self, planted):
+        with pytest.raises(DataError, match="399, 4"):
+            recovery_report(planted["truth"], planted["basis"], planted["scores"][:-1])

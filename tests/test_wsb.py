@@ -7,19 +7,28 @@ from hypothesis import strategies as st
 
 from citetraj import synthgen
 from citetraj.data import CountTrajectory, TimeGrid
-from citetraj.errors import ConfigError, DataError
+from citetraj.errors import DataError
 from citetraj.wsb import (
     LAM_BOUNDS,
     MU_BOUNDS,
     SIGMA_BOUNDS,
-    WsbParams,
     compare_models,
     fit_wsb,
     fit_wsb_corpus,
     normal_cdf,
-    wsb_annual,
-    wsb_cumulative,
+    wsb_curve,
 )
+
+
+def cumulative(theta, t, m=30.0):
+    """C(t) of one parameter set theta = (lam, mu, sigma) at times ``t``,
+    through ``wsb_curve`` on a one-row theta."""
+    return wsb_curve([theta], np.log(np.atleast_1d(t).astype(float)), m)[0]
+
+
+def annual(theta, n_years, m=30.0):
+    """Annual counts on the year-1 grid: first differences with C(0+) = 0."""
+    return np.diff(cumulative(theta, TimeGrid(n_years).points, m), prepend=0.0)
 
 
 def mp_phi(x):
@@ -56,79 +65,72 @@ class TestNormalCdf:
 
 class TestCumulative:
     def test_zero_fitness(self):
-        p = WsbParams(lam=0.0, mu=0.3, sigma=1.0, m=30.0)
         t = np.array([1.0, 5.0, 25.0])
-        assert wsb_cumulative(t, p) == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert cumulative((0.0, 0.3, 1.0), t) == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
     def test_analytic_at_one(self):
-        p = WsbParams(lam=1.0, mu=0.0, sigma=1.0, m=30.0)
-        assert wsb_cumulative(1.0, p) == pytest.approx(30 * (math.e ** 0.5 - 1),
-                                                       rel=1e-12)
+        assert cumulative((1.0, 0.0, 1.0), 1.0)[0] == pytest.approx(30 * (math.e ** 0.5 - 1),
+                                                                    rel=1e-12)
 
     def test_large_t_limit(self):
-        p = WsbParams(lam=1.0, mu=0.0, sigma=1.0, m=30.0)
-        assert wsb_cumulative(1e9, p) == pytest.approx(30 * (math.e - 1), rel=1e-6)
-
-    def test_rejects_nonpositive_t(self):
-        p = WsbParams(lam=1.0, mu=0.0, sigma=1.0)
-        with pytest.raises(ConfigError):
-            wsb_cumulative(0.0, p)
+        assert cumulative((1.0, 0.0, 1.0), 1e9)[0] == pytest.approx(30 * (math.e - 1),
+                                                                    rel=1e-6)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.floats(min_value=0.0, max_value=10.0),
-        st.floats(min_value=-2.0, max_value=4.0),
-        st.floats(min_value=0.05, max_value=4.0),
-    )
-    def test_monotone_and_bounded(self, lam, mu, sigma):
-        p = WsbParams(lam=lam, mu=mu, sigma=sigma, m=30.0)
+    @given(st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0),
+            st.floats(min_value=-2.0, max_value=4.0),
+            st.floats(min_value=0.05, max_value=4.0),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_monotone_and_bounded(self, theta):
         t = np.linspace(0.05, 60.0, 400)
-        c = wsb_cumulative(t, p)
-        assert (np.diff(c) >= -1e-9).all()
-        ceiling = 30.0 * (math.exp(lam) - 1)
-        assert (c >= -1e-12).all() and (c <= ceiling + 1e-9 * max(1, ceiling)).all()
+        curves = wsb_curve(theta, np.log(t), 30.0)
+        assert curves.shape == (len(theta), len(t))
+        for (lam, mu, sigma), c in zip(theta, curves):
+            # Each row of a multi-row theta is its own one-row curve.
+            assert np.array_equal(c, cumulative((lam, mu, sigma), t))
+            assert (np.diff(c) >= -1e-9).all()
+            ceiling = 30.0 * (math.exp(lam) - 1)
+            assert (c >= -1e-12).all() and (c <= ceiling + 1e-9 * max(1, ceiling)).all()
 
 
 class TestAnnual:
     def test_zero_fitness(self):
-        p = WsbParams(lam=0.0, mu=0.0, sigma=1.0)
-        assert wsb_annual(p, TimeGrid(6)) == pytest.approx(np.zeros(6), abs=1e-12)
+        assert annual((0.0, 0.0, 1.0), 6) == pytest.approx(np.zeros(6), abs=1e-12)
 
     def test_telescoping(self):
-        p = WsbParams(lam=1.4, mu=0.9, sigma=0.7, m=25.0)
-        grid = TimeGrid(30)
-        annual = wsb_annual(p, grid)
-        assert annual.sum() == pytest.approx(wsb_cumulative(30.0, p), rel=1e-12)
+        theta = (1.4, 0.9, 0.7)
+        assert annual(theta, 30, m=25.0).sum() == pytest.approx(
+            cumulative(theta, 30.0, m=25.0)[0], rel=1e-12)
 
     def test_matches_direct_differencing(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            p = WsbParams(lam=rng.uniform(0.2, 3), mu=rng.uniform(-.5, 2),
-                          sigma=rng.uniform(0.2, 2), m=30.0)
-            grid = TimeGrid(12)
-            annual = wsb_annual(p, grid)
-            direct = [wsb_cumulative(1.0, p)] + [
-                wsb_cumulative(float(j), p) - wsb_cumulative(float(j - 1), p)
+            theta = (rng.uniform(0.2, 3), rng.uniform(-.5, 2), rng.uniform(0.2, 2))
+            direct = [cumulative(theta, 1.0)[0]] + [
+                cumulative(theta, float(j))[0] - cumulative(theta, float(j - 1))[0]
                 for j in range(2, 13)
             ]
-            assert annual == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            assert annual(theta, 12) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 class TestFit:
     def make_item(self, lam, mu, sigma, m=30.0, t=30):
-        p = WsbParams(lam=lam, mu=mu, sigma=sigma, m=m)
-        annual = wsb_annual(p, TimeGrid(t))
-        counts = tuple(int(round(v)) for v in annual)
-        return CountTrajectory("gen", counts), p, annual
+        counts = annual((lam, mu, sigma), t, m)
+        item = CountTrajectory("gen", tuple(int(round(v)) for v in counts))
+        return item, (lam, mu, sigma), counts
 
     def test_self_recovery(self):
-        item, truth, annual = self.make_item(1.2, 0.8, 0.6)
+        item, (lam, mu, sigma), counts = self.make_item(1.2, 0.8, 0.6)
         fit = fit_wsb(item, m=30.0)
         assert fit.converged
-        assert fit.params.lam == pytest.approx(truth.lam, rel=0.10)
-        assert fit.params.mu == pytest.approx(truth.mu, rel=0.10)
-        assert fit.params.sigma == pytest.approx(truth.sigma, rel=0.10)
-        rounding_mse = float(np.mean((np.asarray(item.counts) - annual) ** 2))
+        assert fit.lam == pytest.approx(lam, rel=0.10)
+        assert fit.mu == pytest.approx(mu, rel=0.10)
+        assert fit.sigma == pytest.approx(sigma, rel=0.10)
+        rounding_mse = float(np.mean((np.asarray(item.counts) - counts) ** 2))
         assert fit.mse <= rounding_mse + 0.5
 
     def test_single_spike(self):
@@ -167,7 +169,7 @@ class TestFit:
             assert fit.objective[row] == math.inf
         single = fit_wsb(CountTrajectory("b", tuple(y[1])), m=30.0)
         assert (fit.lam[1], fit.mu[1], fit.sigma[1]) == (
-            single.params.lam, single.params.mu, single.params.sigma)
+            single.lam, single.mu, single.sigma)
         assert fit.objective[1] == single.objective < math.inf
 
     def test_corpus_needs_a_matrix(self):
@@ -178,7 +180,7 @@ class TestFit:
         item, _, _ = self.make_item(0.9, 0.5, 0.8)
         f1 = fit_wsb(item, m=30.0)
         f2 = fit_wsb(item, m=30.0)
-        assert f1.params == f2.params
+        assert (f1.lam, f1.mu, f1.sigma) == (f2.lam, f2.mu, f2.sigma)
         assert f1.objective == f2.objective
 
 
@@ -226,7 +228,7 @@ class TestAgainstNelderMead:
         # free coordinates (mu, sigma) may move while lam sits on its bound.
         item = items_of(synthgen.simulate_corpus(synthgen.default_spec(200, 1))[0])[58]
         fit = fit_wsb(item, m=30.0)
-        assert fit.params.lam == LAM_BOUNDS[1]
+        assert fit.lam == LAM_BOUNDS[1]
         assert fit.converged
         assert not_worse(fit.objective, nelder_mead_objective(item))
 
@@ -244,7 +246,7 @@ class TestBatch:
             if item.total < 1:
                 continue
             single = fit_wsb(item, m=30.0)
-            assert (single.params.lam, single.params.mu, single.params.sigma) == (
+            assert (single.lam, single.mu, single.sigma) == (
                 batched.lam[i], batched.mu[i], batched.sigma[i])
             assert single.objective == batched.objective[i]
             assert single.converged == batched.converged[i]
