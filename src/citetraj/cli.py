@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("simulate", "generate a synthetic corpus with ground truth")
     p.add_argument("--n-items", type=int, default=2000)
-    p.add_argument("--n-years", type=int, default=30)
     p.add_argument("--out-format", default="jsonl", choices=["csv", "jsonl"])
 
     cmd("ingest", "validate a corpus file and write the normalized copy")
@@ -174,8 +173,6 @@ def _resolve_options(args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
     the file's value."""
     file_opts = read_config_file(args.config) if args.config else {}
     given = {k: v for k, v in file_opts.items() if v is not None}
-    if "baseline" in file_opts:
-        given["baseline"] = bool(file_opts["baseline"])
     given.update((name, value) for name in _CONFIG_FIELDS
                  if (value := getattr(args, name, None)) is not None)
     try:
@@ -217,10 +214,8 @@ def _load_for_stage(config: PipelineConfig, stage: str) -> ModelFile:
 
 
 def _cmd_simulate(args, config: PipelineConfig, given: dict) -> int:
-    spec = synthgen.default_spec(n_items=args.n_items, seed=config.seed)
-    if args.n_years != spec.n_years:
-        raise ConfigError("the default generator is defined on a 30-year grid")
-    corpus, truth = synthgen.simulate_corpus(spec)
+    corpus, truth = synthgen.simulate_corpus(
+        synthgen.default_spec(n_items=args.n_items, seed=config.seed))
     os.makedirs(config.output_dir, exist_ok=True)
     corpus_path = os.path.join(config.output_dir, f"corpus.{args.out_format}")
     write_corpus(corpus, corpus_path, format=args.out_format)

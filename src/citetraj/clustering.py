@@ -4,9 +4,10 @@ Three clustering families cover the robustness comparison: k-means
 (k-means++ seeding, Lloyd iterations, best of restarts), PAM k-medoids
 (build + swap under squared Euclidean cost; the swap is FastPAM1 of Schubert
 & Rousseeuw 2019, which makes PAM's swaps), and Ward agglomeration on scipy's
-``linkage``.  ``kmedoids`` and ``ward`` take a list of K and share work
-between them: one n x n distance matrix and one greedy BUILD (which is
-nested in K) for all k-medoids cells, one Ward tree cut at every K.
+``linkage``, kept as flat partitions only.  ``kmedoids`` and ``ward`` take a
+list of K and share work between them: one n x n distance matrix and one
+greedy BUILD (which is nested in K) for all k-medoids cells, one Ward tree
+cut at every K.
 k-medoids keeps that one matrix, as Ward's linkage keeps its condensed one;
 it and the silhouette read distances ``_BLOCK`` rows at a time, so their
 other temporaries are O(n * _BLOCK).  Cluster centroids are mapped back to
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage, maxRstat
+from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError, NumericalError
@@ -75,8 +76,7 @@ class ClusterModel:
     ``within_ss`` is the summed squared Euclidean distance of points to
     their cluster's ``centroids`` row (for k-medoids the medoid points).
     ``details`` carries method diagnostics: per-iteration within_ss history
-    for the winning k-means restart, medoid indices, or the Ward merge
-    trace read from scipy's linkage matrix.
+    for the winning k-means restart or the medoid indices; Ward has none.
     """
 
     method: str
@@ -219,32 +219,26 @@ def _pam_build(d: np.ndarray, k: int) -> list[int]:
 def _pam_swap(d: np.ndarray, medoids: list[int]) -> list[int]:
     """PAM's SWAP from ``medoids`` while the cost strictly drops (FastPAM1)."""
     n, k = len(d), len(medoids)
-    blocks = _blocks(n)
     medoids = sorted(medoids)
-    costs = np.empty((k, n))
+    costs = np.empty((n, k))
     while n > k:
         dm = d[:, medoids]
         order = np.argsort(dm, axis=1, kind="stable")
         d1 = dm[np.arange(n), order[:, 0]]
         d2 = dm[np.arange(n), order[:, 1]] if k > 1 else np.full(n, np.inf)
-        # Points grouped by nearest medoid position: group p is ends[p]:ends[p + 1].
-        by_pos = np.argsort(order[:, 0], kind="stable")
-        ends = np.concatenate([[0], np.cumsum(np.bincount(order[:, 0], minlength=k))])
-        d1_g, d2_g = d1[by_pos], d2[by_pos]
-        for b in blocks:
-            rows = d[b, by_pos]
-            near = np.minimum(rows, d1_g)
-            shared = near.sum(axis=1)
-            np.minimum(rows, d2_g, out=rows)
-            rows -= near
-            for pos in range(k):
-                costs[pos, b] = shared + rows[:, ends[pos] : ends[pos + 1]].sum(axis=1)
-        costs[:, medoids] = np.inf
+        # Column p sums a candidate's row over the points nearest position p.
+        onehot = np.eye(k)[order[:, 0]]
+        for b in _blocks(n):
+            near = np.minimum(d[b], d1)
+            far = np.minimum(d[b], d2)
+            far -= near
+            costs[b] = near.sum(axis=1)[:, None] + far @ onehot
+        costs[medoids] = np.inf
         best_cost, best_swap = float(d1.sum()), None
         for pos in range(k):
-            h = int(np.argmin(costs[pos]))
-            if costs[pos, h] < best_cost - 1e-12:
-                best_cost, best_swap = float(costs[pos, h]), (pos, h)
+            h = int(np.argmin(costs[:, pos]))
+            if costs[h, pos] < best_cost - 1e-12:
+                best_cost, best_swap = float(costs[h, pos]), (pos, h)
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
@@ -260,13 +254,14 @@ def kmedoids(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
     2019 / Information Systems 2021).  With d1, d2 each point's distances to
     its nearest and second-nearest medoid, swapping medoid m for x costs
     sum_o min(d[o, x], d1[o]) plus, over the points o nearest to m,
-    min(d[o, x], d2[o]) - min(d[o, x], d1[o]); a pass is O(n^2) rather than
-    PAM's O(k n^2).  Like PAM (Kaufman & Rousseeuw 1990), build adds the
-    medoid of largest gain and each pass applies the best strict improvement,
-    ties to the first medoid position and then the smallest candidate index,
-    so in exact arithmetic (e.g. integer points) the medoids are PAM's.  On
-    other data, swaps that tie exactly can be ordered differently by
-    rounding.  BUILD adds one medoid at a time, so one BUILD to max(ks)
+    min(d[o, x], d2[o]) - min(d[o, x], d1[o]); those per-medoid sums are one
+    product of each block of rows with the one-hot nearest-medoid matrix, so
+    a pass is O(n^2) rather than PAM's O(k n^2).  Like PAM (Kaufman &
+    Rousseeuw 1990), build adds the medoid of largest gain and each pass
+    applies the best strict improvement, ties to the first medoid position
+    and then the smallest candidate index, so in exact arithmetic (e.g.
+    integer points) the medoids are PAM's.  On other data, swaps that tie
+    exactly can be ordered differently by rounding.  BUILD adds one medoid at a time, so one BUILD to max(ks)
     serves every K: each K swaps from its first K picks, and its model is
     the one a call with ``(k,)`` gives.  Memory is the one n x n distance
     matrix, freed on return, plus O(n * _BLOCK).
@@ -298,9 +293,7 @@ def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
     The hierarchy is scipy's ``linkage(points, "ward")``: Lance-Williams
     merges from pairwise squared Euclidean distances.  It is built once and
     cut at every K: the K clusters are those left after its first n - K
-    merges, numbered by smallest member.  ``details["merges"]`` lists those
-    merges as (i, j, d2): i < j are the smallest members of the merged
-    clusters, d2 the squared merge height.
+    merges, numbered by smallest member.  ``details`` is empty.
     """
     ks = sorted({int(k) for k in ks})
     if not ks:
@@ -308,7 +301,6 @@ def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
     points = _check_points(points, ks)
     n = len(points)
     assigns = {k: np.zeros(n, dtype=int) for k in ks}
-    merges = []
     if n > 1:
         z = linkage(points, "ward")
         # Row r's monocrit is r, so the flat clusters for K are the subtrees
@@ -318,16 +310,6 @@ def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
             flat = fcluster(z, n - k - 1, criterion="monocrit", monocrit=monocrit)
             _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
             assigns[k] = np.argsort(np.argsort(first))[inv]
-        # A cluster's smallest member is the smallest leaf child of any row
-        # in its subtree; maxRstat takes that over each subtree as n - leaf
-        # (rows without a leaf child score 0).
-        stat = np.zeros((n - 1, 4))
-        stat[:, 0] = np.maximum(n - z[:, :2].min(axis=1), 0.0)
-        smallest = np.concatenate([np.arange(n), n - maxRstat(z, stat, 0)])
-        rows = n - ks[0]
-        pairs = np.sort(smallest[z[:rows, :2].astype(int)], axis=1)
-        merges = [(int(a), int(b), float(c))
-                  for a, b, c in np.column_stack([pairs, z[:rows, 2] ** 2])]
     models = {}
     for k in ks:
         assign = assigns[k]
@@ -335,7 +317,6 @@ def ward(points, ks: Iterable[int]) -> dict[int, ClusterModel]:
         models[k] = ClusterModel(
             method="ward", k=k, centroids=centroids, assignments=assign,
             within_ss=_within_ss(points, centroids, assign), seed=0,
-            details={"merges": merges[: n - k]},
         )
     return models
 
@@ -382,8 +363,7 @@ def cluster_and_label(method: str, scores, ks: Iterable[int], basis: LatentBasis
         raw = model.centroids * scale
         for j in np.unique(model.assignments):
             raw[j] = scores[model.assignments == j].mean(axis=0)
-        labels = label_clusters(model, basis, evergreen_tol, centroids=raw)
-        models[k] = replace(model, labels=labels)
+        models[k] = replace(model, labels=label_clusters(raw, basis, evergreen_tol))
     return models
 
 
@@ -393,22 +373,18 @@ def _evergreen(curves: np.ndarray, rel_tol: float) -> np.ndarray:
     return np.all(np.diff(curves, axis=1) >= -eps[:, None], axis=1)
 
 
-def label_clusters(
-    model: ClusterModel,
-    basis: LatentBasis,
-    evergreen_tol: float = EVERGREEN_TOL,
-    centroids: np.ndarray | None = None,
-) -> tuple[str, ...]:
-    """Shape labels for each cluster centroid, applied in rule order.
+def label_clusters(centroids, basis: LatentBasis,
+                   evergreen_tol: float = EVERGREEN_TOL) -> tuple[str, ...]:
+    """Shape labels for each row of ``centroids`` (scores in the basis's
+    raw space), applied in rule order.
 
     (1) evergreen when the centroid intensity never drops between
     consecutive years by more than ``evergreen_tol`` times its maximum;
     (2) delayed when the peak year is past T/2; (3) otherwise normal, split
     into high/low by whether the curve's mean level exceeds the median of
-    the normal clusters' means.  Pass ``centroids`` to label in a different
-    (e.g. unstandardized) score space than the one clustered in.
+    the normal clusters' means.
     """
-    cents = model.centroids if centroids is None else np.asarray(centroids, float)
+    cents = np.asarray(centroids, dtype=float)
     if cents.shape[1] != basis.k:
         raise ConfigError(
             f"centroid dimension {cents.shape[1]} does not match basis K={basis.k}"
@@ -516,7 +492,8 @@ def robustness_sweep(
 ) -> tuple[dict, dict[tuple[str, int], ClusterModel]]:
     """Run every (K, method) cell and summarize agreement between methods.
 
-    Returns the report and the models keyed by (method, K).  Each method is
+    Returns the report and the models keyed by (method, K).  A method named
+    twice runs once, at its first place in ``methods``.  Each method is
     one :func:`cluster_and_label` call over every K (arguments as there), so
     Ward builds one tree and cuts it at every K, and k-medoids builds one
     distance matrix and one BUILD to the largest K and frees the matrix
@@ -528,6 +505,7 @@ def robustness_sweep(
     scores = np.asarray(scores, dtype=float)
     points = _standardized(scores, basis, standardize)
     k_values = sorted(set(int(k) for k in k_values))
+    methods = list(dict.fromkeys(methods))
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigError(f"unknown clustering methods: {bad}")

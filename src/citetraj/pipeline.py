@@ -78,6 +78,9 @@ class PipelineConfig:
             raise ConfigError("eval-grid must be >= 8")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
+        for name in ("baseline", "standardize"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass

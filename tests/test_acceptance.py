@@ -224,7 +224,7 @@ def test_criterion_6_four_archetype_discovery(planted2000):
     scores = planted2000["scores"]
     km = clus.kmeans(scores, 4, seed=0, restarts=10)
     ari = clus.adjusted_rand_index(km.assignments, truth.archetype_index())
-    labels = clus.label_clusters(km, basis)
+    labels = clus.label_clusters(km.centroids, basis)
     arch = np.asarray(truth.archetypes)
     evergreen_ok = False
     for j in range(4):

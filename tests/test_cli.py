@@ -405,6 +405,19 @@ class TestConfigFile:
         assert merged.baseline is baseline
         assert ("baseline" in given) == bool(file_line)
 
+    def test_none_leaves_baseline_unset_and_non_bool_is_rejected(self, tmp_path, capsys):
+        from citetraj.cli import _resolve_options
+
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("baseline = none\nseed = none\n")
+        merged, given = _resolve_options(build_parser().parse_args(["fit", "--config", str(cfg)]))
+        assert merged.baseline is True and merged.seed == 0
+        assert given == {}
+        for line in ("baseline = maybe\n", "standardize = 2\n"):
+            cfg.write_text(line)
+            assert main(["fit", "--config", str(cfg)]) == 2
+            assert "must be true or false" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "opts.conf"
         cfg.write_text("mystery = 1\n")

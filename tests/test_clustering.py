@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,8 +184,8 @@ def reference_pam(points, k):
     Each swap pass scores every (medoid position, candidate) pair with a
     full O(n) sum.  In exact arithmetic it makes the swaps that ``kmedoids``
     makes; on points whose distances round (e.g. 0.1-scaled lattices) swaps
-    that tie exactly can be ordered differently, so only exact inputs are
-    compared for equality.
+    that tie exactly can be ordered differently, so rounded inputs are
+    compared only where no swaps tie, as on fitted scores.
     """
     n = len(points)
     d = ((points[:, None, :] - points[None]) ** 2).sum(axis=2)
@@ -233,8 +232,8 @@ def pam_inputs():
 
 
 class TestKmedoids:
-    def test_matches_reference_pam(self):
-        for points in pam_inputs():
+    def test_matches_reference_pam(self, planted):
+        for points in [*pam_inputs(), planted["scores"]]:
             for k in range(1, 7):
                 model = kmedoids(points, [k])[k]
                 medoids, assign = reference_pam(points, k)
@@ -362,6 +361,17 @@ def reference_ward_merges(points, k):
     return merges
 
 
+def replay_merges(n, merges):
+    """The partition left by ``merges`` of (i, j, height) on smallest members,
+    numbered by smallest member."""
+    owner = list(range(n))
+    for i, j, _ in merges:
+        assert owner[i] == i and owner[j] == j
+        owner = [i if o == j else o for o in owner]
+    firsts = sorted(set(owner))
+    return [firsts.index(o) for o in owner]
+
+
 class TestWard:
     def test_k_equals_n_trivial(self):
         points = np.arange(8, dtype=float).reshape(4, 2)
@@ -375,46 +385,39 @@ class TestWard:
         assert model.assignments[0] == model.assignments[1]
         assert model.assignments[2] == model.assignments[3]
 
-    def test_matches_reference_merge_trace(self):
+    def test_matches_reference_partitions(self):
         rng = np.random.default_rng(29)
         points = rng.uniform(-3, 3, size=(6, 2))
-        model = ward(points, [3])[3]
-        expected = reference_ward_merges(points, 3)
-        got = model.details["merges"]
-        assert len(got) == len(expected)
-        for (gi, gj, gd), (ei, ej, ed) in zip(got, expected):
-            assert (gi, gj) == (ei, ej)
-            assert gd == pytest.approx(ed, rel=1e-10)
+        models = ward(points, range(1, 7))
+        merges = reference_ward_merges(points, 1)
+        for k, model in models.items():
+            assert model.assignments.tolist() == replay_merges(6, merges[: 6 - k])
 
     def test_single_point(self):
         model = ward(np.array([[1.5, -2.0]]), [1])[1]
         assert model.assignments.tolist() == [0]
         assert model.centroids.tolist() == [[1.5, -2.0]]
         assert model.within_ss == 0.0
-        assert model.details["merges"] == []
+        assert model.details == {}
 
-    def test_duplicated_rows_follow_merge_trace(self):
+    def test_tie_heavy_lattice_partitions_nest(self):
         # Tie-heavy lattice: many zero-distance and equal-height merges.
         rng = np.random.default_rng(3)
         points = rng.integers(0, 3, size=(24, 2)).astype(float)
-        for k in range(1, 25):
-            model = ward(points, [k])[k]
-            merges = model.details["merges"]
-            assert len(merges) == 24 - k
-            assert all(i < j for i, j, _ in merges)
-            dists = [d for _, _, d in merges]
-            assert dists == sorted(dists)
-            # Replaying the merges on smallest members gives the partition,
-            # numbered by smallest member.
-            owner = list(range(24))
-            for i, j, _ in merges:
-                assert owner[i] == i and owner[j] == j
-                owner = [i if o == j else o for o in owner]
-            firsts = sorted(set(owner))
-            assert model.assignments.tolist() == [firsts.index(o) for o in owner]
-            # duplicated rows merge first, at height 0
-            n_distinct = len(np.unique(points, axis=0))
-            assert dists.count(0.0) == min(24 - k, 24 - n_distinct)
+        _, row_kind = np.unique(points, axis=0, return_inverse=True)
+        row_kind = row_kind.ravel()
+        n_distinct = row_kind.max() + 1
+        models = ward(points, range(1, 25))
+        for k, model in models.items():
+            assign = model.assignments.tolist()
+            # numbered by smallest member
+            assert list(dict.fromkeys(assign)) == list(range(k))
+            if k > 1:
+                coarser = models[k - 1].assignments.tolist()
+                assert len(set(zip(assign, coarser))) == k
+            if k <= n_distinct:
+                # duplicated rows merge first, at height 0
+                assert len(set(zip(row_kind.tolist(), assign))) == n_distinct
 
 
 @pytest.mark.parametrize("kernel", ["kmedoids", "silhouette_mean", "ward"])
@@ -501,17 +504,6 @@ def exact_poly_basis(t_years=30):
     )
 
 
-def fake_model(centroids):
-    from citetraj.clustering import ClusterModel
-
-    centroids = np.asarray(centroids, dtype=float)
-    k = len(centroids)
-    return ClusterModel(
-        method="kmeans", k=k, centroids=centroids,
-        assignments=np.arange(k), within_ss=0.0, seed=0,
-    )
-
-
 class TestLabels:
     def test_label_rules(self):
         basis = exact_poly_basis()
@@ -521,7 +513,7 @@ class TestLabels:
         rising = 0.08 * t
         peak20 = -0.5 * ((t - 20.0) / 3.0) ** 2
         cents = np.stack([phi @ rising, phi @ peak20])
-        labels = label_clusters(fake_model(cents), basis)
+        labels = label_clusters(cents, basis)
         realized = np.exp(cents[0] @ phi)
         assert (np.diff(realized) >= -0.05 * realized.max()).all()
         assert labels[0] == "evergreen"
@@ -535,21 +527,15 @@ class TestLabels:
         log_low = -0.5 * ((t - 10.0) / 2.5) ** 2
         log_high = log_low + np.log(6.0)
         cents = np.stack([phi @ log_low, phi @ log_high])
-        labels = label_clusters(fake_model(cents), basis)
+        labels = label_clusters(cents, basis)
         assert labels == ("normal-low", "normal-high")
 
     def test_label_invariant_to_index_permutation(self, planted):
         basis = planted["basis"]
-        model = kmeans(planted["scores"], 4, seed=3)
-        labels = label_clusters(model, basis)
+        centroids = kmeans(planted["scores"], 4, seed=3).centroids
+        labels = label_clusters(centroids, basis)
         perm = np.array([2, 0, 3, 1])
-        inverse = np.argsort(perm)
-        permuted = replace(
-            model,
-            centroids=model.centroids[perm],
-            assignments=inverse[model.assignments],
-        )
-        assert label_clusters(permuted, basis) == tuple(labels[j] for j in perm)
+        assert label_clusters(centroids[perm], basis) == tuple(labels[j] for j in perm)
 
     def test_matches_loop_reference(self, planted):
         basis = planted["basis"]
@@ -569,12 +555,12 @@ class TestLabels:
             med = float(np.median(list(normal.values()))) if normal else 0.0
             for j, m in normal.items():
                 labels[j] = "normal-high" if m > med else "normal-low"
-            assert label_clusters(model, basis) == tuple(labels)
+            assert label_clusters(model.centroids, basis) == tuple(labels)
 
     def test_centroid_dimension_mismatch(self, planted):
-        model = kmeans(planted["scores"][:, :2], 2, seed=0)
+        centroids = kmeans(planted["scores"][:, :2], 2, seed=0).centroids
         with pytest.raises(ConfigError, match="dimension"):
-            label_clusters(model, planted["basis"])
+            label_clusters(centroids, planted["basis"])
 
 
 class TestClassifyItem:
@@ -771,6 +757,20 @@ class TestSweep:
         for k, cell in report["ari"].items():
             for pair, value in cell.items():
                 assert value >= 0.8
+
+    def test_methods_named_twice_run_once(self, planted, monkeypatch):
+        scores, ks = planted["scores"], (2, 3)
+        once, _ = robustness_sweep(scores, ks, ["kmeans", "ward"], restarts=2)
+        calls = []
+        real = clustering.kmeans
+        monkeypatch.setattr(clustering, "kmeans",
+                            lambda points, k, **kw: calls.append(k) or real(points, k, **kw))
+        report, models = robustness_sweep(scores, ks, ["kmeans", "ward", "kmeans"], restarts=2)
+        assert calls == [2, 3]
+        assert report["methods"] == ["kmeans", "ward"]
+        assert all(list(pairs) == ["kmeans|ward"] for pairs in report["ari"].values())
+        assert report == once
+        assert sorted(models) == [("kmeans", 2), ("kmeans", 3), ("ward", 2), ("ward", 3)]
 
     def test_unknown_method(self, planted):
         with pytest.raises(ConfigError, match="unknown"):
