@@ -27,6 +27,7 @@ import json
 import os
 import statistics
 import sys
+import typing
 from collections import Counter
 from dataclasses import fields as dc_fields
 
@@ -47,31 +48,40 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_scalar(raw: str):
-    raw = raw.strip().strip('"').strip("'")
+def _bool(raw: str) -> bool:
     low = raw.lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    if low in ("none", "null"):
+    if low in _BOOL_TRUE | _BOOL_FALSE:
+        return low in _BOOL_TRUE
+    raise ValueError(raw)
+
+
+# A config-file value is read by the type of its PipelineConfig field, as
+# its flag's argparse type reads it; only the bool fields take bool words.
+_READERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "a string"),
+            bool: (_bool, "true or false")}
+_FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+                for name, hint in typing.get_type_hints(PipelineConfig).items()}
+
+
+def _read_value(key: str, raw: str):
+    """The config-file text ``raw`` of field ``key`` as that field's type;
+    ``none`` or ``null`` leave the field unset (None)."""
+    raw = raw.strip().strip('"').strip("'")
+    if raw.lower() in ("none", "null"):
         return None
+    read, what = _READERS[_FIELD_TYPES[key]]
     try:
-        return int(raw)
+        return read(raw)
     except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
 
 
 def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` file; keys use flag names (dashes ok)."""
+    """Flat ``key = value`` file; keys use flag names (dashes ok), and each
+    value is read by its field's type."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    out = {}
+    raw_values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
@@ -80,12 +90,11 @@ def read_config_file(path: str) -> dict:
             if "=" not in body:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, raw = body.split("=", 1)
-            key = key.strip().replace("-", "_")
-            out[key] = _parse_scalar(raw)
-    unknown = sorted(set(out) - _CONFIG_FIELDS)
+            raw_values[key.strip().replace("-", "_")] = raw
+    unknown = sorted(set(raw_values) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
-    return out
+    return {key: _read_value(key, raw) for key, raw in raw_values.items()}
 
 
 def _int_list(raw: str) -> list[int]:
@@ -123,7 +132,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-grid", type=int, default=None,
                    help="evaluation points for density curves (default 256)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="threads over WSB row chunks (default 1)")
+                   help="threads over shares of the WSB fits (default 1)")
     p.add_argument("--restarts", type=int, default=None, help="k-means restarts (default 10)")
     p.add_argument("--no-baseline", dest="baseline", action="store_false", default=None,
                    help="skip the WSB baseline stage")

@@ -57,7 +57,7 @@ class PipelineConfig:
     m_wsb: float = 30.0
     standardize: bool = False
     eval_grid: int = 256
-    jobs: int = 1  # threads over WSB row chunks
+    jobs: int = 1  # threads over shares of the WSB fits
     baseline: bool = True
     select_k_max: int = 6
     bandwidth: float | None = None

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Corpus, CountTrajectory
+from .data import MAX_COUNT, Corpus, CountTrajectory
 from .errors import ConfigError, DataError, OverflowGuardError
 from .fpca import LatentBasis
 
@@ -297,12 +297,15 @@ def fit_matrix(y, basis: LatentBasis) -> FitArrays:
     iterations otherwise, flagged.  Rows whose start trips the overflow
     guard, or whose Hessian is singular, are refit with a ridge penalty from
     zero scores.  The reported log-likelihood is always unpenalized, even
-    for ridged rows.
+    for ridged rows.  Counts must lie in [0, 2**53], as in a :class:`Corpus`.
     """
     y = np.asarray(y, dtype=float)
     t = basis.grid.n_years
     if y.ndim != 2 or y.shape[1] != t:
         raise DataError(f"count matrix has shape {y.shape}, basis grid has {t} years")
+    # NaN fails both comparisons.
+    if y.size and not (y.min() >= 0 and y.max() <= MAX_COUNT):
+        raise DataError("count matrix holds a negative, non-finite or above-2**53 count")
     n, k = y.shape[0], basis.k
     fit = FitArrays(
         scores=np.zeros((n, k)), loglik=np.zeros(n), mse=np.zeros(n),

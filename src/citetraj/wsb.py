@@ -7,9 +7,16 @@ curve (stable and standard for this model), while the reported MSE is
 computed on annual counts so comparisons against the functional Poisson
 model share one error scale.  The fits take an (n, T) count matrix and
 return row-aligned columns (:class:`WsbArrays`), as the Poisson fits do.
-They run as one vectorized Levenberg-Marquardt over every row's start
-points, with the analytic Jacobian and steps projected onto the parameter
-box.  :func:`wsb_curve` is the one statement of C(t): the fits' objective
+
+Each row is fit from 4 start points by Levenberg-Marquardt with the
+analytic Jacobian and steps projected onto the parameter box (Moré, 1978).
+:func:`minimize` steps all starts in flight together, keeps at most
+``_CHUNK`` of them in flight, and refills that set from the waiting starts
+as others finish, so no start waits on a slow one and the solver's memory
+does not grow with n.  A step evaluates the curve once, at the trial
+points; an accepted trial's normal equations are built from that same
+evaluation, and the 3 x 3 Marquardt systems are solved in closed form.
+:func:`_curve` is the one statement of C(t): the fits' objective, Jacobian
 and MSE and the one-item view :func:`fit_wsb` all evaluate it, and annual
 counts are its first differences with C(0+) = 0.
 """
@@ -45,13 +52,15 @@ __all__ = [
 LAM_BOUNDS = (0.0, 20.0)
 MU_BOUNDS = (-2.0, 5.0)
 SIGMA_BOUNDS = (0.05, 5.0)
-_LOWER = np.array([LAM_BOUNDS[0], MU_BOUNDS[0], SIGMA_BOUNDS[0]])
-_UPPER = np.array([LAM_BOUNDS[1], MU_BOUNDS[1], SIGMA_BOUNDS[1]])
+# The box as (3, 1) columns, against the solver's (3, r) points.
+_LOWER = np.array([[LAM_BOUNDS[0]], [MU_BOUNDS[0]], [SIGMA_BOUNDS[0]]])
+_UPPER = np.array([[LAM_BOUNDS[1]], [MU_BOUNDS[1]], [SIGMA_BOUNDS[1]]])
 
-# Rows per solver batch.  Each row carries 4 starts with a (3, T) Jacobian
-# each, so the batch stays smaller than a Poisson chunk: 1024-row batches
-# raised peak memory by about 3.5 MB at n=400.  Results do not depend on it.
-_CHUNK = 256
+# Starts the solver keeps in flight at once (256 items of 4 starts).  A
+# step's temporaries are about a dozen (_CHUNK, T) arrays of 0.25 MB each at
+# T = 30, so this budget, not n, sets the solver's working memory.  Results
+# do not depend on it.
+_CHUNK = 1024
 
 # Levenberg-Marquardt: step cap; initial and least damping (the floor keeps
 # the scaled normal equations well conditioned when two Jacobian columns are
@@ -69,6 +78,9 @@ MSE_FLOOR = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
+# The (mu, sigma) pairs of every item's 4 starts.
+_START_GRID = np.array([(mu0, s0) for mu0 in (math.log(2.0), math.log(8.0))
+                        for s0 in (0.5, 1.5)])
 
 
 @dataclass(frozen=True)
@@ -108,16 +120,23 @@ def normal_cdf(x):
 
     Accepts scalars or arrays; scalars come back as floats.
     """
-    p = 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
+    p = erf(np.asarray(x, dtype=float) / _SQRT2)
+    p += 1.0
+    p *= 0.5
     return float(p) if p.ndim == 0 else p
 
 
-def _curve(theta: np.ndarray, log_t: np.ndarray):
-    """Per-row (lam, sigma, z, Phi(z)) for rows theta = (lam, mu, sigma),
-    as (r, 1) columns and (r, T) matrices."""
-    lam, mu, sigma = (theta[:, j, None] for j in range(3))
-    z = (log_t[None, :] - mu) / sigma
-    return lam, sigma, z, normal_cdf(z)
+def _curve(lam, mu, sigma, log_t: np.ndarray, m: float):
+    """Pieces of C(t) for r parameter sets given as (r,) arrays ``lam``,
+    ``mu`` and ``sigma``: the (r, T) matrices z = (ln t - mu) / sigma,
+    Phi(z) and C(t) itself."""
+    z = log_t[None, :] - mu[:, None]
+    z /= sigma[:, None]
+    cdf = normal_cdf(z)
+    curve = lam[:, None] * cdf
+    np.expm1(curve, out=curve)
+    curve *= m
+    return z, cdf, curve
 
 
 def wsb_curve(theta, log_t, m: float) -> np.ndarray:
@@ -126,69 +145,122 @@ def wsb_curve(theta, log_t, m: float) -> np.ndarray:
     Row i of the (r, 3) array ``theta`` holds (lam, mu, sigma); ``log_t``
     holds the (T,) log times.  Returns the (r, T) curves.
     """
-    lam, _, _, cdf = _curve(np.asarray(theta, dtype=float), np.asarray(log_t, dtype=float))
-    return m * np.expm1(lam * cdf)
+    theta = np.asarray(theta, dtype=float)
+    return _curve(*theta.T, np.asarray(log_t, dtype=float), m)[2]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (r, T) matrices."""
+    return np.einsum("rt,rt->r", a, b)
 
 
 def _objective(theta: np.ndarray, log_t: np.ndarray, c_obs: np.ndarray, m: float) -> np.ndarray:
     """Row-wise least-squares objective sum_t (c_obs - C(t))^2 for rows
     theta (r, 3) against observed cumulative counts c_obs (r, T)."""
     res = wsb_curve(theta, log_t, m) - c_obs
-    return np.einsum("rt,rt->r", res, res)
+    return _rowdot(res, res)
 
 
-def _residual_jacobian(theta, log_t, c_obs, m):
-    """Residuals C - c_obs (r, T) and their Jacobian (r, 3, T) in (lam, mu, sigma).
+def _evaluate(x, log_t, c_obs, m):
+    """Curve pieces z, Phi(z) and C of :func:`_curve` at points x (3, r),
+    their residuals and their objective against the observed rows
+    ``c_obs`` (r, T), a copy that the residuals overwrite."""
+    z, cdf, curve = _curve(*x, log_t, m)
+    res = np.subtract(curve, c_obs, out=c_obs)
+    return z, cdf, curve, res, _rowdot(res, res)
 
-    With e = exp(lam * Phi(z)): dC/dlam = m e Phi(z),
-    dC/dmu = -m e lam phi(z) / sigma and dC/dsigma = z * dC/dmu.
+
+def _jacobian(lam, sigma, z, cdf, curve, m):
+    """The (r, T) Jacobian columns dC/dlam, dC/dmu and dC/dsigma of r
+    parameter sets, from their ``lam`` and ``sigma`` (r,) and the z, Phi(z)
+    and C that :func:`_curve` returned for them.
+
+    With m e = m exp(lam Phi(z)) = C + m: dC/dlam = m e Phi(z),
+    dC/dmu = -m e lam phi(z) / sigma and dC/dsigma = z dC/dmu.
     """
-    lam, sigma, z, cdf = _curve(theta, log_t)
-    me = m * np.exp(lam * cdf)
-    d_mu = -me * lam * _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sigma
-    res = m * np.expm1(lam * cdf) - c_obs
-    return res, np.stack([me * cdf, d_mu, d_mu * z], axis=1)
+    me = curve + m
+    d_mu = np.square(z)
+    d_mu *= -0.5
+    np.exp(d_mu, out=d_mu)
+    d_mu *= me
+    d_mu *= (-lam * _INV_SQRT_2PI / sigma)[:, None]
+    return np.multiply(me, cdf, out=me), d_mu, d_mu * z
 
 
-def _multistart_points(total: int, m: float) -> list[np.ndarray]:
-    lam0 = min(max(math.log1p(total / m), LAM_BOUNDS[0]), LAM_BOUNDS[1])
-    return [
-        np.array([lam0, mu0, s0])
-        for mu0 in (math.log(2.0), math.log(8.0))
-        for s0 in (0.5, 1.5)
-    ]
+def _normal_equations(cols, res):
+    """J'J (3, 3, r) and J'r (3, r) of the Jacobian columns ``cols`` and
+    residuals ``res``, all (r, T); each entry is a per-row dot product."""
+    jtj = np.empty((3, 3, len(res)))
+    for i in range(3):
+        for j in range(i, 3):
+            jtj[i, j] = jtj[j, i] = _rowdot(cols[i], cols[j])
+    return jtj, np.stack([_rowdot(col, res) for col in cols])
 
 
-def _projected_step(x, jtj, grad, damping):
-    """Marquardt step solving (J'J + d diag(J'J)) s = -J'r row by row.
+def _multistart_points(total, m: float) -> np.ndarray:
+    """Start points (..., 4, 3) for items with event totals ``total``: lam at
+    ln(1 + total/m) within its bounds, paired with every (mu, sigma) in
+    {ln 2, ln 8} x {0.5, 1.5}."""
+    lam0 = np.clip(np.log1p(np.asarray(total, dtype=float) / m), *LAM_BOUNDS)
+    starts = np.empty(lam0.shape + (len(_START_GRID), 3))
+    starts[..., 0] = lam0[..., None]
+    starts[..., 1:] = _START_GRID
+    return starts
+
+
+def _scaled_solve(jtj, jtr, w, dd):
+    """Per-row solution s of (J'J + d diag(J'J)) s = -J'r in the scaled
+    coordinates s = w * u, where the matrix has a unit diagonal plus d
+    (``dd`` = 1 + d), by the closed-form LDL' factorization of that 3 x 3
+    symmetric positive definite system.  A coordinate with ``w`` = 0 is held
+    at 0 and the free coordinates solve their own subsystem."""
+    c01 = jtj[0, 1] * (w[0] * w[1])
+    c02 = jtj[0, 2] * (w[0] * w[2])
+    c12 = jtj[1, 2] * (w[1] * w[2])
+    b0, b1, b2 = -jtr * w
+    l10, l20 = c01 / dd, c02 / dd
+    d1 = dd - l10 * c01
+    t = c12 - l20 * c01
+    l21 = t / d1
+    d2 = dd - l20 * c02 - l21 * t
+    y1 = b1 - l10 * b0
+    u2 = (b2 - l20 * b0 - l21 * y1) / d2
+    u1 = y1 / d1 - l21 * u2
+    u0 = (b0 - c01 * u1 - c02 * u2) / dd
+    return np.stack([u0, u1, u2]) * w
+
+
+def _marquardt_step(x, jtj, jtr, damping):
+    """Marquardt steps (3, r) solving (J'J + d diag(J'J)) s = -J'r for r
+    points x (3, r), given J'J (3, 3, r), J'r (3, r) and damping d (r,).
 
     The system is solved in the coordinates scaled by diag(J'J), where its
     matrix has a unit diagonal plus d.  A coordinate whose Jacobian column
     vanishes, or one on its box bound whose step points out of the box, is
     held for this step and the free coordinates are solved for alone, so
-    the clip that follows cannot bend the free part of the step.
+    the clip that follows cannot bend the free part of the step.  Only
+    points whose held set grows are solved a second time.
     """
-    diag = np.einsum("rii->ri", jtj)
+    diag = jtj[[0, 1, 2], [0, 1, 2]]
     held = diag < _TINY
-    scale = np.sqrt(np.where(held, 1.0, diag))
-    lhs = jtj / (scale[:, :, None] * scale[:, None, :]) + damping[:, None, None] * np.eye(3)
-    rhs = -grad / scale
-
-    def solve(held):
-        free = ~held
-        sub = lhs * free[:, :, None] * free[:, None, :] + np.eye(3) * held[:, :, None]
-        return np.linalg.solve(sub, (rhs * free)[:, :, None])[:, :, 0] / scale
-
-    step = solve(held)
-    held |= ((x <= _LOWER) & (step < 0)) | ((x >= _UPPER) & (step > 0))
-    return solve(held)
+    w = ~held / np.sqrt(np.where(held, 1.0, diag))
+    dd = 1.0 + damping
+    step = _scaled_solve(jtj, jtr, w, dd)
+    # A held coordinate's step is exactly 0, so only free ones can leave the box.
+    grown = ((x <= _LOWER) & (step < 0)) | ((x >= _UPPER) & (step > 0))
+    again = grown.any(axis=0)
+    if again.any():
+        step[:, again] = _scaled_solve(jtj[..., again], jtr[:, again],
+                                       np.where(grown[:, again], 0.0, w[:, again]), dd[again])
+    return step
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Per-row outcome of :func:`minimize`: parameters ``x`` (r, 3),
-    objective ``fun``, steps tried ``nit`` and ``success`` (r,); ``nfev``
-    counts row evaluations of the objective over the whole batch."""
+    """Per-start outcome of :func:`minimize`: parameters ``x``, shaped as
+    the starts, and objective ``fun``, steps tried ``nit`` and ``success``,
+    one per start; ``nfev`` counts row evaluations of the objective over
+    all starts."""
 
     x: np.ndarray
     fun: np.ndarray
@@ -197,79 +269,105 @@ class MinimizeResult:
     nfev: int
 
 
-def minimize(theta0, log_t, c_obs, m: float) -> MinimizeResult:
-    """Least-squares WSB fit of every row by box-projected Levenberg-Marquardt.
+class _Active(NamedTuple):
+    """Starts in flight, indexed along the last axis: flat start index,
+    point (3, r), objective, damping, steps taken, J'J (3, 3, r) and
+    J'r (3, r) at the point."""
 
-    Row i starts at ``theta0[i]`` = (lam, mu, sigma), clipped to the box, and
-    fits observed cumulative counts ``c_obs[i]`` at log times ``log_t``.
-    Each iteration takes the Marquardt step (J'J + d diag(J'J)) s = -J'r
-    from the analytic Jacobian, with coordinates on a bound held when the
-    step points out of the box (see :func:`_projected_step`), then clips.
-    A row accepts the step only if the objective stays finite and does not
-    rise, dividing its damping d by 3; otherwise d grows tenfold.  A row
-    converges, and is frozen, when the clipped step is below ``_XTOL``
-    relative or an accepted step lowers the objective by at most ``_FTOL``
-    relative; rows still moving after ``_MAX_ITER`` steps are unconverged.
-    Every reduction is per row, so a row's result does not depend on the
-    other rows of its batch.
+    ids: np.ndarray
+    x: np.ndarray
+    f: np.ndarray
+    damping: np.ndarray
+    steps: np.ndarray
+    jtj: np.ndarray
+    jtr: np.ndarray
+
+    def select(self, rows) -> "_Active":
+        return _Active(*(column[..., rows] for column in self))
+
+
+def minimize(theta0, log_t, c_obs, m: float) -> MinimizeResult:
+    """Least-squares WSB fit of every start by box-projected Levenberg-Marquardt.
+
+    ``theta0`` holds (lam, mu, sigma) start points, either one per row of
+    the observed cumulative counts ``c_obs`` (n, T), as an (n, 3) array, or
+    s per row, as an (n, s, 3) array; each is clipped to the box and fits
+    its row of ``c_obs`` at log times ``log_t``.  Each iteration takes the
+    Marquardt step (J'J + d diag(J'J)) s = -J'r from the analytic Jacobian,
+    with coordinates on a bound held when the step points out of the box
+    (see :func:`_marquardt_step`), then clips.  A start accepts the step
+    only if the objective stays finite and does not rise, dividing its
+    damping d by 3; otherwise d grows tenfold.  A start converges when the
+    clipped step is below ``_XTOL`` relative or an accepted step lowers
+    the objective by at most ``_FTOL`` relative; starts still moving after
+    ``_MAX_ITER`` steps are unconverged, and a start whose objective is not
+    finite takes no step.
+
+    At most ``_CHUNK`` starts are in flight at once: as starts finish, the
+    set is refilled from those still waiting, so the steps' working memory
+    is set by ``_CHUNK`` and not by the number of starts.  Each step evaluates the curve once, at the
+    trial points; an accepted trial's Jacobian is built from that same
+    evaluation.  Every reduction is per start, so a start's result does not
+    depend on the others or on ``_CHUNK``.
     """
-    x = np.clip(np.asarray(theta0, dtype=float), _LOWER, _UPPER)
+    theta0 = np.asarray(theta0, dtype=float)
     c_obs = np.asarray(c_obs, dtype=float)
-    rows = len(x)
-    f = _objective(x, log_t, c_obs, m)
-    nfev = rows
-    damping = np.full(rows, _DAMPING0)
-    nit = np.zeros(rows, dtype=int)
-    success = np.zeros(rows, dtype=bool)
-    active = np.isfinite(f)
-    for _ in range(_MAX_ITER):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+    if theta0.ndim not in (2, 3) or theta0.shape[-1] != 3 or len(theta0) != len(c_obs):
+        raise DataError(f"start points of shape {theta0.shape} do not fit "
+                        f"{len(c_obs)} observed rows")
+    per_row = 1 if theta0.ndim == 2 else theta0.shape[1]
+    x = np.clip(theta0.reshape(-1, 3), _LOWER.T, _UPPER.T)
+    starts = len(x)
+    fun = np.empty(starts)
+    nit = np.zeros(starts, dtype=int)
+    success = np.zeros(starts, dtype=bool)
+    nfev = 0
+    active = _Active(np.empty(0, dtype=int), np.empty((3, 0)), np.empty(0), np.empty(0),
+                     np.empty(0, dtype=int), np.empty((3, 3, 0)), np.empty((3, 0)))
+    loaded = 0
+    while True:
+        take = min(_CHUNK - len(active.ids), starts - loaded)
+        if take > 0:
+            ids = np.arange(loaded, loaded + take)
+            loaded += take
+            z, cdf, curve, res, f = _evaluate(x[ids].T, log_t, c_obs[ids // per_row], m)
+            fun[ids] = f
+            nfev += take
+            ok = np.isfinite(f)
+            ids, x0 = ids[ok], x[ids[ok]].T
+            cols = _jacobian(x0[0], x0[2], z[ok], cdf[ok], curve[ok], m)
+            fresh = _Active(ids, x0, f[ok], np.full(len(ids), _DAMPING0),
+                            np.zeros(len(ids), dtype=int), *_normal_equations(cols, res[ok]))
+            active = _Active(*(np.concatenate(pair, axis=-1) for pair in zip(active, fresh)))
+        if not len(active.ids):
             break
-        xa, fa, ca = x[idx], f[idx], c_obs[idx]
-        res, jac = _residual_jacobian(xa, log_t, ca, m)
-        step = _projected_step(
-            xa,
-            np.einsum("rit,rjt->rij", jac, jac),
-            np.einsum("rit,rt->ri", jac, res),
-            damping[idx],
-        )
-        trial = np.clip(xa + step, _LOWER, _UPPER)
-        ft = _objective(trial, log_t, ca, m)
-        nfev += idx.size
-        nit[idx] += 1
+        ids, xa, fa, damping, steps, jtj, jtr = active
+        trial = np.clip(xa + _marquardt_step(xa, jtj, jtr, damping), _LOWER, _UPPER)
+        z, cdf, curve, res, ft = _evaluate(trial, log_t, c_obs[ids // per_row], m)
+        nfev += len(ids)
+        steps = steps + 1
         accept = np.isfinite(ft) & (ft <= fa)
-        moved = np.abs(trial - xa).max(axis=1)
-        done = (moved <= _XTOL * (1.0 + np.abs(xa).max(axis=1))) | (
+        moved = np.abs(trial - xa).max(axis=0)
+        done = (moved <= _XTOL * (1.0 + np.abs(xa).max(axis=0))) | (
             accept & (fa - ft <= _FTOL * fa)
         )
-        x[idx[accept]] = trial[accept]
-        f[idx[accept]] = ft[accept]
-        damping[idx] = np.where(
-            accept, np.maximum(damping[idx] / 3.0, _DAMPING_MIN), damping[idx] * 10.0
-        )
-        success[idx[done]] = True
-        active[idx[done]] = False
-    return MinimizeResult(x=x, fun=f, nit=nit, success=success, nfev=int(nfev))
-
-
-def _fit_chunk(y: np.ndarray, m: float) -> WsbArrays:
-    """Best-of-4-starts fits of the rows of a count matrix."""
-    log_t = np.log(TimeGrid(y.shape[1]).points)
-    starts = np.asarray([_multistart_points(total, m) for total in y.sum(axis=1)])
-    n_starts = starts.shape[1]
-    result = minimize(
-        starts.reshape(-1, 3), log_t, np.repeat(np.cumsum(y, axis=1), n_starts, axis=0), m,
-    )
-    # argmin keeps the first start on ties.
-    best = np.arange(len(y)) * n_starts + np.argmin(result.fun.reshape(-1, n_starts), axis=1)
-    theta = result.x[best]
-    annual = np.diff(wsb_curve(theta, log_t, m), prepend=0.0, axis=1)
-    return WsbArrays(
-        lam=theta[:, 0], mu=theta[:, 1], sigma=theta[:, 2],
-        mse=np.mean((y - annual) ** 2, axis=1),
-        converged=result.success[best], objective=result.fun[best],
-    )
+        xa = np.where(accept, trial, xa)
+        fa = np.where(accept, ft, fa)
+        damping = np.where(accept, np.maximum(damping / 3.0, _DAMPING_MIN), damping * 10.0)
+        stop = done | (steps >= _MAX_ITER)
+        jtj_t, jtr_t = _normal_equations(_jacobian(trial[0], trial[2], z, cdf, curve, m), res)
+        jtj = np.where(accept, jtj_t, jtj)
+        jtr = np.where(accept, jtr_t, jtr)
+        active = _Active(ids, xa, fa, damping, steps, jtj, jtr)
+        if stop.any():
+            out = ids[stop]
+            x[out], fun[out], nit[out], success[out] = (
+                xa[:, stop].T, fa[stop], steps[stop], done[stop])
+            active = active.select(~stop)
+    shape = theta0.shape[:-1]
+    return MinimizeResult(x=x.reshape(theta0.shape), fun=fun.reshape(shape),
+                          nit=nit.reshape(shape), success=success.reshape(shape),
+                          nfev=int(nfev))
 
 
 def fit_wsb_corpus(y, m: float = 30.0, jobs: int = 1) -> WsbArrays:
@@ -277,12 +375,13 @@ def fit_wsb_corpus(y, m: float = 30.0, jobs: int = 1) -> WsbArrays:
 
     Each row is fit from 4 starts, pairing mu in {ln 2, ln 8} with sigma in
     {0.5, 1.5}, with lam at ln(1 + total/m); the start with the lowest
-    objective wins, and its annual curve gives the row's MSE.  All starts
-    of up to ``_CHUNK`` rows are fit together by :func:`minimize`,
-    and ``jobs`` threads map over these chunks; a fit does not depend on
-    its chunk.  Rows with a total below 1 skip the solver and keep
-    placeholder values rather than aborting the batch: lam 0, mu ln 2,
-    sigma 1, MSE 0, unconverged, objective +inf.
+    objective wins (the first on ties), and its annual curve gives the
+    row's MSE.  The rows are split into ``jobs`` shares, and each share's
+    starts are fit by one :func:`minimize` call, on its own thread when
+    ``jobs`` > 1; a fit does not depend on its share.  Rows with a total
+    below 1 skip the solver and keep placeholder values rather than
+    aborting the batch: lam 0, mu ln 2, sigma 1, MSE 0, unconverged,
+    objective +inf.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -296,20 +395,31 @@ def fit_wsb_corpus(y, m: float = 30.0, jobs: int = 1) -> WsbArrays:
         lam=np.zeros(n), mu=np.full(n, math.log(2.0)), sigma=np.ones(n), mse=np.zeros(n),
         converged=np.zeros(n, dtype=bool), objective=np.full(n, math.inf),
     )
-    rows = np.nonzero(y.sum(axis=1) >= 1)[0]
-    chunks = [rows[lo:lo + _CHUNK] for lo in range(0, len(rows), _CHUNK)]
+    totals = y.sum(axis=1)
+    rows = np.nonzero(totals >= 1)[0]
+    shares = [share for share in np.array_split(rows, max(jobs, 1)) if len(share)]
+    log_t = np.log(TimeGrid(y.shape[1]).points)
 
-    def run(chunk: np.ndarray) -> WsbArrays:
-        return _fit_chunk(y[chunk], m)
+    def run(share: np.ndarray) -> None:
+        result = minimize(_multistart_points(totals[share], m), log_t,
+                          np.cumsum(y[share], axis=1), m)
+        best = np.arange(len(share)), np.argmin(result.fun, axis=1)
+        theta = result.x[best]
+        fit.lam[share], fit.mu[share], fit.sigma[share] = theta.T
+        fit.converged[share] = result.success[best]
+        fit.objective[share] = result.fun[best]
+        # The MSE's (rows, T) temporaries are bounded by the solver's budget.
+        for lo in range(0, len(share), _CHUNK):
+            block = share[lo:lo + _CHUNK]
+            annual = np.diff(wsb_curve(theta[lo:lo + _CHUNK], log_t, m), prepend=0.0, axis=1)
+            fit.mse[block] = np.mean((y[block] - annual) ** 2, axis=1)
 
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, chunks))
+    if len(shares) > 1:
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            list(pool.map(run, shares))
     else:
-        results = [run(chunk) for chunk in chunks]
-    for chunk, part in zip(chunks, results):
-        for column, values in zip(fit, part):
-            column[chunk] = values
+        for share in shares:
+            run(share)
     return fit
 
 

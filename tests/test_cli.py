@@ -418,6 +418,54 @@ class TestConfigFile:
             assert main(["fit", "--config", str(cfg)]) == 2
             assert "must be true or false" in capsys.readouterr().err
 
+    def test_values_take_their_field_types(self, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("seed = 1\nk_clusters = 0\nm_wsb = 30\nstandardize = 1\n"
+                       "output_dir = 2020\nfve = none\n")
+        opts = read_config_file(str(cfg))
+        assert opts == {"seed": 1, "k_clusters": 0, "m_wsb": 30.0, "standardize": True,
+                        "output_dir": "2020", "fve": None}
+        assert [type(opts[k]) for k in ("seed", "k_clusters", "m_wsb", "output_dir")] == [
+            int, int, float, str]
+
+    def test_numeric_seed_matches_the_flag(self, small_corpus, tmp_path):
+        # "1" once read as True: the model stored "seed": true and its
+        # checksum differed from the --seed 1 run.
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("seed = 1\n")
+        common = ["fit", "--no-baseline", "--input", str(small_corpus),
+                  "--output-dir", str(tmp_path / "out")]
+        checksums = []
+        for extra in (["--config", str(cfg)], ["--seed", "1"]):
+            assert main(common + extra) == EXIT_OK
+            model = json.loads((tmp_path / "out" / "model.json").read_text())
+            assert model["config"]["seed"] == 1 and model["config"]["seed"] is not True
+            checksums.append(model["checksum"])
+        assert checksums[0] == checksums[1]
+
+    def test_bad_value_exits_2_before_any_stage(self, small_corpus, tmp_path, capsys,
+                                                monkeypatch):
+        from citetraj import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage ran on a bad config")
+
+        monkeypatch.setattr(cli, "run_pipeline", refuse)
+        cfg = tmp_path / "opts.conf"
+        for line in ("k_clusters = 2.5\n", "seed = abc\n", "m_wsb = yes\n"):
+            cfg.write_text(line)
+            rc = main(["fit", "--input", str(small_corpus), "--output-dir",
+                       str(tmp_path / "out"), "--config", str(cfg)])
+            assert rc == EXIT_CONFIG
+            assert line.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_numeric_output_dir_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "opts.conf").write_text("output_dir = 2020\n")
+        assert main(["simulate", "--n-items", "5", "--config", "opts.conf"]) == EXIT_OK
+        assert (tmp_path / "2020" / "corpus.jsonl").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "opts.conf"
         cfg.write_text("mystery = 1\n")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from citetraj import poisson
 from citetraj.data import Corpus, CountTrajectory, TimeGrid
-from citetraj.errors import OverflowGuardError
+from citetraj.errors import DataError, OverflowGuardError
 from citetraj.fpca import LatentBasis
 from citetraj.poisson import (
     convergence_summary,
@@ -296,18 +296,27 @@ class TestKernel:
             assert single.iterations[0] == fit.iterations[i]
 
     def test_ridge_fallback_row_matches_its_one_row_fit(self, planted):
-        # A count of 1e307 makes y * eta overflow at the start; the row's
-        # objective is -inf, so it takes no step and is refit with the ridge
+        # A count of 1e9 in year 13 of an ordinary row drives its Newton
+        # iterate to a singular Hessian; the row is refit with the ridge
         # penalty from zero scores.
         y = planted["corpus"].counts[:5].astype(float)
-        y[2, 6] = 1e307
-        with np.errstate(over="ignore"):
-            fit = fit_matrix(y, planted["basis"])
-            single = fit_matrix(y[2:3], planted["basis"])
+        y[2, 12] = 1e9
+        fit = fit_matrix(y, planted["basis"])
+        single = fit_matrix(y[2:3], planted["basis"])
         assert fit.ridged.tolist() == [False, False, True, False, False]
-        assert fit.iterations.tolist() == [3, 3, 0, 3, 4]
+        assert fit.iterations.tolist() == [3, 3, 50, 3, 4]
+        assert np.isfinite(fit.mse).all()
         for name, column in fit._asdict().items():
             assert np.array_equal(column[2:3], getattr(single, name)), name
+
+    @pytest.mark.parametrize("count", [1e307, 2.0**53 + 2, -1.0, np.inf, np.nan])
+    def test_counts_outside_corpus_range_rejected(self, planted, count):
+        # 1e307 once reached a ridge refit that took no step: scores 0 and
+        # MSE inf, with an overflow warning.
+        y = planted["corpus"].counts[:5].astype(float)
+        y[2, 6] = count
+        with pytest.raises(DataError, match="count"):
+            fit_matrix(y, planted["basis"])
 
 
 class TestMse:

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citetraj import synthgen
+from citetraj import synthgen, wsb
 from citetraj.data import CountTrajectory, TimeGrid
 from citetraj.errors import DataError
 from citetraj.wsb import (
@@ -147,6 +148,18 @@ class TestFit:
         for x0 in _multistart_points(1, 30.0):
             assert fit.objective <= _objective(x0[None], log_t, c_obs[None], 30.0)[0] + 1e-9
 
+    def test_start_points_match_their_definition(self):
+        from citetraj.wsb import _multistart_points
+
+        totals = [1, 30, 5000, 1e12]
+        starts = _multistart_points(totals, 30.0)
+        assert starts.shape == (4, 4, 3)
+        for total, rows in zip(totals, starts):
+            lam0 = min(max(math.log1p(total / 30.0), LAM_BOUNDS[0]), LAM_BOUNDS[1])
+            want = [(lam0, mu0, s0) for mu0 in (math.log(2.0), math.log(8.0)) for s0 in (0.5, 1.5)]
+            assert np.array_equal(rows, want)
+        assert np.array_equal(_multistart_points(30, 30.0), starts[1])
+
     def test_generating_m_beats_alternative(self):
         item, truth, _ = self.make_item(1.0, 0.8, 0.6, m=30.0)
         fit_true_m = fit_wsb(item, m=30.0)
@@ -252,6 +265,108 @@ class TestBatch:
             assert single.converged == batched.converged[i]
             # The one-item view's annual curve is wsb_curve differenced.
             assert single.mse == batched.mse[i] == np.mean((y[i] - single.annual_fitted) ** 2)
+
+
+class TestJacobian:
+    M = 30.0
+
+    def thetas(self):
+        """Random in-box (lam, mu, sigma) rows, then rows with one coordinate
+        on each of its bounds."""
+        rng = np.random.default_rng(5)
+        lows, highs = zip(LAM_BOUNDS, MU_BOUNDS, SIGMA_BOUNDS)
+        inside = rng.uniform([0.05, -1.5, 0.1], [6.0, 4.0, 3.0], size=(12, 3))
+        on_bounds = inside[:6].copy()
+        for j in range(3):
+            on_bounds[2 * j, j], on_bounds[2 * j + 1, j] = lows[j], highs[j]
+        return np.vstack([inside, on_bounds])
+
+    def test_columns_match_central_differences(self):
+        theta = self.thetas()
+        log_t = np.log(TimeGrid(30).points)
+        z, cdf, curve = wsb._curve(*theta.T, log_t, self.M)
+        cols = wsb._jacobian(theta[:, 0], theta[:, 2], z, cdf, curve, self.M)
+        # Relative to the row's largest derivative, with a floor well above
+        # the differences' rounding error (about 2e-10 |C| at this h).
+        tol = (1e-6 * np.abs(np.stack(cols)).max(axis=(0, 2))
+               + 1e-8 * (1 + np.abs(curve).max(axis=1)))
+        for j, col in enumerate(cols):
+            h = 1e-6 * np.maximum(1.0, np.abs(theta[:, j]))
+            up, down = theta.copy(), theta.copy()
+            up[:, j] += h
+            down[:, j] -= h
+            numeric = ((wsb_curve(up, log_t, self.M) - wsb_curve(down, log_t, self.M))
+                       / (2 * h[:, None]))
+            assert (np.abs(col - numeric) <= tol[:, None]).all(), j
+
+    def test_normal_equations_match_explicit_product(self):
+        theta = self.thetas()
+        log_t = np.log(TimeGrid(30).points)
+        rng = np.random.default_rng(6)
+        z, cdf, curve = wsb._curve(*theta.T, log_t, self.M)
+        res = curve - rng.uniform(0, 50, curve.shape).cumsum(axis=1)
+        cols = wsb._jacobian(theta[:, 0], theta[:, 2], z, cdf, curve, self.M)
+        jtj, jtr = wsb._normal_equations(cols, res)
+        jac = np.stack(cols, axis=1)  # (r, 3, T)
+        want_jtj = np.einsum("rit,rjt->ijr", jac, jac)
+        want_jtr = np.einsum("rit,rt->ir", jac, res)
+        assert np.allclose(jtj, want_jtj, rtol=1e-12, atol=0.0)
+        assert np.allclose(jtr, want_jtr, rtol=1e-12, atol=1e-12 * np.abs(want_jtr).max())
+        assert np.array_equal(jtj, jtj.transpose(1, 0, 2))
+
+
+def refill_mix():
+    """Rows that exercise every way a start leaves the solver: a synthetic
+    corpus (its row 58 sits on the lam bound), single-year spikes whose
+    starts run into the step cap, and zero-total placeholder rows."""
+    y = synthgen.simulate_corpus(synthgen.default_spec(200, 1))[0].counts[:80].astype(float)
+    spikes = np.zeros((3, 30))
+    spikes[:, 2] = (107, 487, 874)
+    return np.vstack([y[:40], np.zeros((2, 30)), spikes, y[40:], np.zeros((1, 30))])
+
+
+class TestRefill:
+    def test_columns_do_not_depend_on_budget_or_shares(self, monkeypatch):
+        y = refill_mix()
+        default = fit_wsb_corpus(y, m=30.0)
+        threaded = fit_wsb_corpus(y, m=30.0, jobs=2)
+        monkeypatch.setattr(wsb, "_CHUNK", 7)
+        small = fit_wsb_corpus(y, m=30.0)
+        for name, column in default._asdict().items():
+            assert np.array_equal(column, getattr(threaded, name)), name
+            assert np.array_equal(column, getattr(small, name)), name
+        placeholders = [40, 41, len(y) - 1]
+        assert (default.objective[placeholders] == math.inf).all()
+        assert not default.converged[[42, 43, 44]].any()
+        assert np.isfinite(default.objective[[42, 43, 44]]).all()
+        assert default.lam[45 + 58 - 40] == LAM_BOUNDS[1]
+
+    def test_spike_starts_hit_the_step_cap(self):
+        y = refill_mix()[42:45]
+        log_t = np.log(TimeGrid(30).points)
+        result = wsb.minimize(wsb._multistart_points(y.sum(axis=1), 30.0), log_t,
+                              np.cumsum(y, axis=1), 30.0)
+        assert result.x.shape == (3, 4, 3) and result.nit.shape == (3, 4)
+        assert (result.nit[~result.success] == wsb._MAX_ITER).all()
+        assert (result.nit == wsb._MAX_ITER).any(axis=1).all()
+
+
+def test_peak_memory_is_set_by_the_budget_not_n():
+    # Measured 0.82 MB for the 1600 extra items: their cumulative counts
+    # (240 bytes each at T = 30), start points and per-start results.  The
+    # solver's own temporaries, about 3 MB, are set by _CHUNK; building
+    # every start's rows at once would add some 25 MB here.  The bound is
+    # a guard: a change that breaks it fixes the memory, not the bound.
+    def peak(n):
+        y = synthgen.simulate_corpus(synthgen.default_spec(n, 1))[0].counts.astype(float)
+        tracemalloc.start()
+        try:
+            fit_wsb_corpus(y, m=30.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(400) <= 1.2e6
 
 
 def test_import_does_not_load_scipy_optimize():
